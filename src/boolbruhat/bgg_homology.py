@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bruhat import bruhat_leq, down_covers, intersect_ideals
+from .bruhat import BruhatIdeal, bruhat_leq, down_covers, intersect_ideals
 from .permcore import (
     Permutation,
     all_permutations,
@@ -40,9 +40,6 @@ class SignAssignment:
     degree: int
     sign: dict[tuple[Permutation, Permutation], int]
 
-    def sign_of(self, x: Permutation, y: Permutation) -> int:
-        return self.sign[(x, y)]
-
 
 @dataclass(frozen=True, eq=False)
 class RestrictedComplex:
@@ -56,9 +53,6 @@ class RestrictedComplex:
     top_length: int
     dims: tuple[int, ...]
     matrices: tuple[tuple[tuple[int, ...], ...], ...]
-
-    def positions(self) -> range:
-        return range(self.top_length + 1)
 
 
 @dataclass(frozen=True)
@@ -88,126 +82,95 @@ def build_sign_assignment(
         raise DegreeCapExceededError(f"degree {n} exceeds cap {cap}")
     root = -1 if flip_roots else 1
     sign: dict[tuple[Permutation, Permutation], int] = {}
-    by_length: dict[int, list[Permutation]] = {}
-    for x in all_permutations(n):
-        by_length.setdefault(x.length, []).append(x)
-
-    for l in range(1, max(by_length) + 1):
-        for z in by_length[l]:
-            down = _sorted_perms(down_covers(z))
-            if l == 1:
-                sign[(down[0], z)] = root
+    for z, down, diamonds in _diamonds(n):
+        constraints: dict[Permutation, list[tuple[Permutation, int]]] = {
+            y: [] for y in down
+        }
+        for y1, y2, x in diamonds:
+            parity = -sign[(x, y1)] * sign[(x, y2)]
+            constraints[y1].append((y2, parity))
+            constraints[y2].append((y1, parity))
+        value: dict[Permutation, int] = {}
+        for y in down:
+            if y in value:
                 continue
-            lower = {y: _sorted_perms(down_covers(y)) for y in down}
-            constraints: dict[Permutation, list[tuple[Permutation, int]]] = {
-                y: [] for y in down
-            }
-            for a in range(len(down)):
-                for b in range(a + 1, len(down)):
-                    y1, y2 = down[a], down[b]
-                    for x in lower[y1]:
-                        if x in lower[y2]:
-                            parity = -sign[(x, y1)] * sign[(x, y2)]
-                            constraints[y1].append((y2, parity))
-                            constraints[y2].append((y1, parity))
-            value: dict[Permutation, int] = {}
-            for y in down:
-                if y in value:
-                    continue
-                value[y] = root
-                queue = [y]
-                while queue:
-                    cur = queue.pop()
-                    for other, parity in constraints[cur]:
-                        want = value[cur] * parity
-                        if other not in value:
-                            value[other] = want
-                            queue.append(other)
-                        elif value[other] != want:
-                            raise AssertionError(
-                                f"inconsistent diamond system below {z!r}"
-                            )
-            for y in down:
-                sign[(y, z)] = value[y]
+            value[y] = root
+            queue = [y]
+            while queue:
+                cur = queue.pop()
+                for other, parity in constraints[cur]:
+                    want = value[cur] * parity
+                    if other not in value:
+                        value[other] = want
+                        queue.append(other)
+                    elif value[other] != want:
+                        raise AssertionError(
+                            f"inconsistent diamond system below {z!r}"
+                        )
+        for y in down:
+            sign[(y, z)] = value[y]
     return SignAssignment(n, sign)
+
+
+def _diamonds(n: int):
+    """Each z of S_n in (length, one-line) order, with its down-covers in that
+    order and the diamonds (y1, y2, x) below it: y1 before y2, both covering x.
+
+    Every element comes after its down-covers, so down_covers runs once per
+    element.
+    """
+    down_of: dict[Permutation, list[Permutation]] = {}
+    for z in all_permutations(n):
+        down = down_of[z] = _sorted_perms(down_covers(z))
+        yield z, down, [
+            (y1, y2, x)
+            for a, y1 in enumerate(down)
+            for y2 in down[a + 1 :]
+            for x in down_of[y1]
+            if x in down_of[y2]
+        ]
 
 
 def diamond_violations(signs: SignAssignment) -> list[tuple[Permutation, Permutation]]:
     """Length-2 intervals [x, z] whose four edge signs do not multiply to -1."""
+    sign = signs.sign
     bad = []
-    for z in all_permutations(signs.degree):
-        if z.length < 2:
-            continue
-        down = _sorted_perms(down_covers(z))
-        for a in range(len(down)):
-            for b in range(a + 1, len(down)):
-                y1, y2 = down[a], down[b]
-                for x in down_covers(y1):
-                    if x in down_covers(y2):
-                        p = (
-                            signs.sign[(x, y1)]
-                            * signs.sign[(y1, z)]
-                            * signs.sign[(x, y2)]
-                            * signs.sign[(y2, z)]
-                        )
-                        if p != -1:
-                            bad.append((x, z))
+    for z, _down, diamonds in _diamonds(signs.degree):
+        for y1, y2, x in diamonds:
+            if sign[(x, y1)] * sign[(y1, z)] * sign[(x, y2)] * sign[(y2, z)] != -1:
+                bad.append((x, z))
     return bad
 
 
 def build_complex(
-    elements, top_length: int, signs: SignAssignment
+    ideal: BruhatIdeal, top_length: int, signs: SignAssignment
 ) -> RestrictedComplex:
-    """Chain complex on any convex element set, graded by top_length - l(x)."""
-    elements = set(elements)
-    degree = next(iter(elements)).n
+    """Chain complex on an ideal, graded by top_length - l(x); each cover
+    (x, y) of the ideal is one entry of the matrix leaving x's position."""
     basis: list[list[Permutation]] = [[] for _ in range(top_length + 1)]
-    for x in elements:
+    for x in ideal.elements:
         basis[top_length - x.length].append(x)
     for row in basis:
         row.sort(key=lambda x: x.images)
-    matrices = []
-    for i in range(top_length + 1):
-        sources = basis[i]
-        targets = basis[i - 1] if i >= 1 else []
-        index = {y: r for r, y in enumerate(targets)}
-        rows = [[0] * len(sources) for _ in targets]
-        if i >= 1:
-            for c, x in enumerate(sources):
-                for y in _up_in(x, elements):
-                    rows[index[y]][c] = signs.sign[(x, y)]
-        matrices.append(tuple(tuple(r) for r in rows))
+    index = {x: k for row in basis for k, x in enumerate(row)}
+    matrices = [[]] + [
+        [[0] * len(basis[i]) for _ in basis[i - 1]] for i in range(1, top_length + 1)
+    ]
+    for x, y in ideal.covers:
+        matrices[top_length - x.length][index[y]][index[x]] = signs.sign[(x, y)]
     return RestrictedComplex(
-        degree,
+        ideal.degree,
         top_length,
         tuple(len(b) for b in basis),
-        tuple(matrices),
+        tuple(tuple(tuple(r) for r in m) for m in matrices),
     )
-
-
-def _up_in(x: Permutation, elements: set[Permutation]) -> list[Permutation]:
-    n = x.n
-    img = x.images
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if img[i] < img[j] and not any(
-                img[i] < img[k] < img[j] for k in range(i + 1, j)
-            ):
-                images = list(img)
-                images[i], images[j] = images[j], images[i]
-                y = Permutation(images)
-                if y in elements:
-                    out.append(y)
-    return out
 
 
 def restricted_complex(
     w: Permutation, u: Permutation, signs: SignAssignment
 ) -> RestrictedComplex:
     """The signed cover complex on B(w) /\\ B(u), with w at position 0."""
-    ideal = intersect_ideals(w, u)
-    return build_complex(ideal.elements, w.length, signs)
+    return build_complex(intersect_ideals(w, u), w.length, signs)
 
 
 def integer_rank(rows) -> int:
@@ -310,9 +273,7 @@ def grade_of_parabolic_longest(mu, n: int, signs: SignAssignment) -> GradeReport
     from .rs_afunction import longest_parabolic_element
 
     w = longest_parabolic_element(mu, n)
-    report = grade(w, signs)
-    assert report.grade == w.length
-    return report
+    return grade(w, signs)
 
 
 def is_longest_parabolic_element(w: Permutation) -> bool:

@@ -57,10 +57,6 @@ class BruhatIdeal:
     elements: frozenset[Permutation]
     covers: tuple[tuple[Permutation, Permutation], ...]
 
-    @property
-    def rank_of(self) -> dict[Permutation, int]:
-        return {x: x.length for x in self.elements}
-
     def sorted_elements(self) -> list[Permutation]:
         return sorted(self.elements, key=lambda w: (w.length, w.images))
 
@@ -100,37 +96,21 @@ def down_covers(w: Permutation) -> frozenset[Permutation]:
     return frozenset(out)
 
 
-def up_covers(w: Permutation) -> frozenset[Permutation]:
-    """All x covering w."""
-    out = []
-    img = w.images
-    n = w.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if img[i] < img[j] and not any(
-                img[i] < img[k] < img[j] for k in range(i + 1, j)
-            ):
-                images = list(img)
-                images[i], images[j] = images[j], images[i]
-                out.append(Permutation(images))
-    return frozenset(out)
+def _ideal_elements(
+    w: Permutation, cap: int
+) -> tuple[frozenset[Permutation], list[tuple[Permutation, Permutation]]]:
+    """B(w), walked down from w, and every cover pair (x, y) met on the way.
 
-
-def covers_of(w: Permutation, direction: Literal["up", "down"]) -> frozenset[Permutation]:
-    if direction == "up":
-        return up_covers(w)
-    if direction == "down":
-        return down_covers(w)
-    raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
-
-
-def _ideal_elements(w: Permutation, cap: int) -> frozenset[Permutation]:
+    Each element is expanded once, so each cover pair is recorded once.
+    """
     seen = {w}
+    pairs = []
     frontier = [w]
     while frontier:
         nxt = []
         for y in frontier:
             for x in down_covers(y):
+                pairs.append((x, y))
                 if x not in seen:
                     seen.add(x)
                     if len(seen) > cap:
@@ -139,25 +119,24 @@ def _ideal_elements(w: Permutation, cap: int) -> frozenset[Permutation]:
                         )
                     nxt.append(x)
         frontier = nxt
-    return frozenset(seen)
+    return frozenset(seen), pairs
 
 
-def _internal_covers(
+def _ideal(
+    degree: int,
     elements: frozenset[Permutation],
-) -> tuple[tuple[Permutation, Permutation], ...]:
-    pairs = []
-    for y in elements:
-        for x in down_covers(y):
-            if x in elements:
-                pairs.append((x, y))
-    pairs.sort(key=lambda p: (p[0].length, p[0].images, p[1].images))
-    return tuple(pairs)
+    pairs: list[tuple[Permutation, Permutation]],
+) -> BruhatIdeal:
+    """The ideal on elements with the pairs whose top lies in it; elements is
+    down-closed, so their bottoms lie in it too."""
+    covers = [p for p in pairs if p[1] in elements]
+    covers.sort(key=lambda p: (p[0].length, p[0].images, p[1].images))
+    return BruhatIdeal(degree, elements, tuple(covers))
 
 
 @lru_cache(maxsize=4096)
 def _principal_ideal_cached(w: Permutation, cap: int) -> BruhatIdeal:
-    elements = _ideal_elements(w, cap)
-    return BruhatIdeal(w.n, elements, _internal_covers(elements))
+    return _ideal(w.n, *_ideal_elements(w, cap))
 
 
 def principal_ideal(w: Permutation, cap: int = DEFAULT_IDEAL_CAP) -> BruhatIdeal:
@@ -168,18 +147,18 @@ def principal_ideal(w: Permutation, cap: int = DEFAULT_IDEAL_CAP) -> BruhatIdeal
 def intersect_ideals(
     v: Permutation, w: Permutation, cap: int = DEFAULT_IDEAL_CAP
 ) -> BruhatIdeal:
-    """B(v) /\\ B(w), with covers recomputed inside the intersection.
+    """B(v) /\\ B(w), with the covers of the smaller ideal that lie inside it.
 
-    An intersection of ideals in a graded poset is a graded ideal, so pairs at
-    adjacent ranks with x <= y are exactly the ambient covers.
+    An intersection of ideals in a graded poset is a graded ideal, so its
+    covers are exactly the ambient covers between its elements.
     """
     if v.n != w.n:
         raise DegreeMismatchError(f"degrees {v.n} and {w.n} differ")
     small, big = (v, w) if v.length <= w.length else (w, v)
-    elements = frozenset(
-        x for x in _ideal_elements(small, cap) if bruhat_leq(x, big)
+    elements, pairs = _ideal_elements(small, cap)
+    return _ideal(
+        v.n, frozenset(x for x in elements if bruhat_leq(x, big)), pairs
     )
-    return BruhatIdeal(v.n, elements, _internal_covers(elements))
 
 
 def maximal_elements(ideal: BruhatIdeal) -> list[Permutation]:

@@ -49,15 +49,18 @@ from .runs_matching import (
     optimal_rank,
     run_decompose,
 )
-from .verify import K_PARAM_CHECKS, SAMPLING_CHECKS, THEOREM_CHECKS
+from .verify import (
+    DEGREE_CAPPED_CHECKS,
+    K_PARAM_CHECKS,
+    SAMPLING_CHECKS,
+    THEOREM_CHECKS,
+)
 
 
 @dataclass(frozen=True)
 class RunConfig:
     degree_cap: int
     ideal_cap: int
-    word_cap: int
-    threads: int
     fmt: str
     seed: int
 
@@ -193,6 +196,8 @@ def cmd_verify(args) -> int:
     if args.theorem in SAMPLING_CHECKS and args.sample is not None:
         kwargs["sample"] = args.sample
         kwargs["seed"] = args.config.seed
+    if args.theorem in DEGREE_CAPPED_CHECKS:
+        kwargs["cap"] = args.config.degree_cap
     bad = check(first, **kwargs)
     if bad:
         print(f"FAIL {args.theorem}: {len(bad)} counterexample(s)")
@@ -249,12 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--ideal-cap",
         type=int,
         default=_env_int("BOOLBRUHAT_IDEAL_CAP", DEFAULT_IDEAL_CAP),
-    )
-    parser.add_argument(
-        "--word-cap", type=int, default=_env_int("BOOLBRUHAT_WORD_CAP", 10**6)
-    )
-    parser.add_argument(
-        "--threads", type=int, default=_env_int("BOOLBRUHAT_THREADS", 1)
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -332,8 +331,6 @@ def main(argv=None) -> int:
     args.config = RunConfig(
         degree_cap=args.degree_cap,
         ideal_cap=args.ideal_cap,
-        word_cap=args.word_cap,
-        threads=args.threads,
         fmt=args.fmt,
         seed=args.seed,
     )

@@ -143,7 +143,8 @@ def run_decompose(v: Permutation) -> RunDecomposition:
     for r in ordered:
         letters.extend(r.letters)
     word = ReducedWord(tuple(letters), v.n)
-    assert word.permutation() == v
+    if word.permutation() != v:
+        raise RuntimeError(f"run word {word.letters} does not give {v!r}")
     return RunDecomposition(tuple(ordered), word)
 
 

@@ -12,6 +12,7 @@ import random
 from itertools import combinations
 
 from .bgg_homology import (
+    DEFAULT_DEGREE_CAP,
     SignAssignment,
     build_complex,
     build_sign_assignment,
@@ -175,7 +176,7 @@ def _matching_homology_report(v, w, signs: SignAssignment) -> str | None:
     problem = check_matching(cert)
     if problem is not None:
         return f"invalid certificate: {problem}"
-    ranks = homology_ranks(build_complex(cert.over.elements, v.length, signs))
+    ranks = homology_ranks(build_complex(cert.over, v.length, signs))
     singles = cert.singletons()
     if not singles:
         if any(ranks.values()):
@@ -190,9 +191,9 @@ def _matching_homology_report(v, w, signs: SignAssignment) -> str | None:
     return None
 
 
-def check_lem4_3(n: int) -> list[str]:
+def check_lem4_3(n: int, cap: int = DEFAULT_DEGREE_CAP) -> list[str]:
     """Perfectly matched intersections give exact restricted complexes."""
-    signs = build_sign_assignment(n)
+    signs = build_sign_assignment(n, cap)
     bad = []
     for v in boolean_permutations(n):
         for w in all_permutations(n):
@@ -207,10 +208,10 @@ def check_lem4_3(n: int) -> list[str]:
     return bad
 
 
-def check_lem4_4(n: int) -> list[str]:
+def check_lem4_4(n: int, cap: int = DEFAULT_DEGREE_CAP) -> list[str]:
     """Almost perfectly matched intersections have one 1-dimensional homology
     class at the singleton's position."""
-    signs = build_sign_assignment(n)
+    signs = build_sign_assignment(n, cap)
     bad = []
     for v in boolean_permutations(n):
         for w in all_permutations(n):
@@ -285,10 +286,12 @@ def check_lem5_6(n: int, max_len: int = 8) -> list[str]:
     return bad
 
 
-def check_thm5_10(n: int, with_homology: bool = True) -> list[str]:
+def check_thm5_10(
+    n: int, with_homology: bool = True, cap: int = DEFAULT_DEGREE_CAP
+) -> list[str]:
     """The concatenated per-run partner realizes singleton rank l(v) - run(v);
     optionally also checks the forced homology class of the matched complex."""
-    signs = build_sign_assignment(n) if with_homology else None
+    signs = build_sign_assignment(n, cap) if with_homology else None
     bad = []
     for v in boolean_permutations(n):
         if v.is_identity():
@@ -340,9 +343,11 @@ def check_cor6_7(n: int) -> list[str]:
     return bad
 
 
-def check_thm6_8(n: int, sample: int | None = None, seed: int = 0) -> list[str]:
+def check_thm6_8(
+    n: int, sample: int | None = None, seed: int = 0, cap: int = DEFAULT_DEGREE_CAP
+) -> list[str]:
     """Grade equals the a-function on boolean permutations."""
-    signs = build_sign_assignment(n)
+    signs = build_sign_assignment(n, cap)
     booleans = boolean_permutations(n)
     if sample is not None:
         rng = random.Random(seed)
@@ -371,26 +376,22 @@ def _partitions(n: int, largest: int | None = None):
             yield (first,) + rest
 
 
-def check_thm7_2(n: int) -> list[str]:
+def check_thm7_2(n: int, cap: int = DEFAULT_DEGREE_CAP) -> list[str]:
     """Longest parabolic elements have grade equal to their length."""
     from .rs_afunction import YoungShape
 
-    signs = build_sign_assignment(n)
+    signs = build_sign_assignment(n, cap)
     bad = []
     for parts in _partitions(n):
-        try:
-            report = grade_of_parabolic_longest(YoungShape(parts), n, signs)
-        except AssertionError:
-            bad.append(f"mu={parts}: grade differs from length")
-            continue
+        report = grade_of_parabolic_longest(YoungShape(parts), n, signs)
         if report.grade != report.w.length:
             bad.append(f"mu={parts}: grade {report.grade} != {report.w.length}")
     return bad
 
 
-def check_thm7_3(n: int) -> list[str]:
+def check_thm7_3(n: int, cap: int = DEFAULT_DEGREE_CAP) -> list[str]:
     """Perfection is exactly being a longest parabolic element."""
-    signs = build_sign_assignment(n)
+    signs = build_sign_assignment(n, cap)
     bad = []
     for w in all_permutations(n):
         homological = is_perfect(w, signs)
@@ -424,3 +425,5 @@ THEOREM_CHECKS = {
 # checks whose first argument is a letter-range bound rather than a degree
 K_PARAM_CHECKS = {"prop3.3"}
 SAMPLING_CHECKS = {"cor3.6", "thm6.8"}
+# checks that build a sign assignment, and so take the degree cap
+DEGREE_CAPPED_CHECKS = {"lem4.3", "lem4.4", "thm5.10", "thm6.8", "thm7.2", "thm7.3"}

@@ -1,7 +1,9 @@
 import pytest
 
+from boolbruhat import bgg_homology
 from boolbruhat.bgg_homology import (
     DegreeCapExceededError,
+    GradeReport,
     SignAssignment,
     build_sign_assignment,
     diamond_violations,
@@ -17,8 +19,10 @@ from boolbruhat.bgg_homology import (
     is_perfect,
     restricted_complex,
 )
-from boolbruhat.permcore import Permutation, all_permutations
+from boolbruhat.bruhat import bruhat_leq
+from boolbruhat.permcore import Permutation, all_permutations, boolean_permutations
 from boolbruhat.rs_afunction import YoungShape, a_function
+from boolbruhat.verify import check_thm7_2
 
 
 def w3(*letters):
@@ -47,9 +51,9 @@ def test_hand_built_rank_three_sign_assignment_is_valid():
 def test_single_cover_sign_is_the_root_value():
     signs = build_sign_assignment(2)
     e, s = Permutation.identity(2), Permutation((2, 1))
-    assert signs.sign_of(e, s) == 1
+    assert signs.sign[(e, s)] == 1
     flipped = build_sign_assignment(2, flip_roots=True)
-    assert flipped.sign_of(e, s) == -1
+    assert flipped.sign[(e, s)] == -1
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -76,6 +80,31 @@ def test_differential_squares_to_zero_everywhere():
     for u in all_permutations(4):
         c = restricted_complex(w0, u, signs)
         assert differential_squares_to_zero(c)
+
+
+def test_restricted_complex_matches_brute_force():
+    signs = build_sign_assignment(4)
+    elems = all_permutations(4)
+    for w in elems:
+        for u in elems:
+            below = [x for x in elems if bruhat_leq(x, w) and bruhat_leq(x, u)]
+            basis = [
+                sorted((x for x in below if x.length == w.length - i), key=lambda x: x.images)
+                for i in range(w.length + 1)
+            ]
+            matrices = [()] + [
+                tuple(
+                    tuple(
+                        signs.sign[(x, y)] if bruhat_leq(x, y) else 0
+                        for x in basis[i]
+                    )
+                    for y in basis[i - 1]
+                )
+                for i in range(1, w.length + 1)
+            ]
+            c = restricted_complex(w, u, signs)
+            assert c.dims == tuple(len(b) for b in basis), (w, u)
+            assert c.matrices == tuple(matrices), (w, u)
 
 
 def test_full_order_complex_is_exact():
@@ -115,12 +144,35 @@ def test_grade_equals_a_value_in_rank_three_except_two_elements():
     assert off == expected_off
 
 
+def test_grade_pruning_matches_an_unpruned_scan():
+    def unpruned_grade(w, signs):
+        positions = [
+            -p
+            for u in all_permutations(w.n)
+            for p, h in homology_ranks(restricted_complex(w, u, signs)).items()
+            if h
+        ]
+        return min(positions)
+
+    for n, elems in ((4, all_permutations(4)), (5, boolean_permutations(5))):
+        signs = build_sign_assignment(n)
+        for w in elems:
+            assert grade(w, signs).grade == unpruned_grade(w, signs), w
+
+
 def test_parabolic_longest_elements_are_perfect():
     signs = build_sign_assignment(4)
     report = grade_of_parabolic_longest(YoungShape((2, 2)), 4, signs)
     assert report.w == Permutation((2, 1, 4, 3))
     assert report.grade == 2
     assert is_perfect(report.w, signs)
+
+
+def test_thm7_2_check_reports_a_wrong_grade(monkeypatch):
+    monkeypatch.setattr(
+        bgg_homology, "grade", lambda w, signs: GradeReport(w, w.length + 1, w)
+    )
+    assert len(check_thm7_2(3)) == 3
 
 
 def test_grades_do_not_depend_on_the_root_choice():

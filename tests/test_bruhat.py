@@ -7,7 +7,6 @@ from boolbruhat.bruhat import (
     IdealCapExceededError,
     RunWord,
     bruhat_leq,
-    covers_of,
     down_covers,
     ideal_to_dot,
     ideal_to_json,
@@ -15,7 +14,6 @@ from boolbruhat.bruhat import (
     maximal_elements,
     principal_ideal,
     run_word_leq,
-    up_covers,
 )
 from boolbruhat.permcore import (
     Permutation,
@@ -48,13 +46,13 @@ def test_comparison_matches_subword_oracle(n):
             assert bruhat_leq(u, w) == subword_leq(u, w), (u, w)
 
 
-def test_covers_are_mutual():
-    for w in all_permutations(4):
-        for y in up_covers(w):
-            assert y.length == w.length + 1
-            assert w in down_covers(y)
-        assert covers_of(w, "up") == up_covers(w)
-        assert covers_of(w, "down") == down_covers(w)
+def test_down_covers_are_the_elements_one_rank_below():
+    elems = all_permutations(4)
+    for w in elems:
+        expected = {
+            x for x in elems if x.length == w.length - 1 and bruhat_leq(x, w)
+        }
+        assert down_covers(w) == expected
 
 
 def test_principal_ideal_of_boolean_is_hypercube():
@@ -102,7 +100,7 @@ def test_maximal_elements_have_no_internal_up_cover():
     ideal = intersect_ideals(v, w)
     maxima = maximal_elements(ideal)
     for m in maxima:
-        assert not (up_covers(m) & ideal.elements)
+        assert not any(m in down_covers(y) for y in ideal.elements)
     for x in ideal.elements:
         assert any(bruhat_leq(x, m) for m in maxima)
 

@@ -146,6 +146,12 @@ def test_degree_cap_exits_two(capsys):
     assert "exceeds cap" in err
 
 
+def test_verify_honours_the_degree_cap(capsys):
+    code, _, err = run(capsys, "--degree-cap", "3", "verify", "thm7.2", "--n", "4")
+    assert code == 2
+    assert "exceeds cap 3" in err
+
+
 def test_grade_without_arguments_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["grade"])
