@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bruhat import BruhatIdeal, bruhat_leq, down_covers, intersect_ideals
+from .bruhat import BruhatIdeal, down_covers, intersect_ideals, principal_ideal
 from .permcore import (
     Permutation,
     all_permutations,
@@ -66,11 +66,11 @@ def _sorted_perms(perms) -> list[Permutation]:
     return sorted(perms, key=lambda x: (x.length, x.images))
 
 
-@lru_cache(maxsize=8)
 def build_sign_assignment(
     n: int, cap: int = DEFAULT_DEGREE_CAP, flip_roots: bool = False
 ) -> SignAssignment:
-    """Assign +-1 to every cover of S_n, rank by rank.
+    """Assign +-1 to every cover of S_n, rank by rank; built once per
+    (n, flip_roots), whatever the cap.
 
     Within a rank, the diamond conditions couple the down-edges of each top
     element z through already-fixed lower edges; each coupling component is
@@ -80,6 +80,11 @@ def build_sign_assignment(
     """
     if n > cap:
         raise DegreeCapExceededError(f"degree {n} exceeds cap {cap}")
+    return _build_sign_assignment(n, flip_roots)
+
+
+@lru_cache(maxsize=8)
+def _build_sign_assignment(n: int, flip_roots: bool) -> SignAssignment:
     root = -1 if flip_roots else 1
     sign: dict[tuple[Permutation, Permutation], int] = {}
     for z, down, diamonds in _diamonds(n):
@@ -223,11 +228,11 @@ def differential_squares_to_zero(c: RestrictedComplex) -> bool:
 
 
 def _first_nonzero_position(
-    w: Permutation, u: Permutation, signs: SignAssignment, stop_at: int
+    ideal: BruhatIdeal, top_length: int, signs: SignAssignment, stop_at: int
 ) -> int | None:
-    """Smallest i < stop_at with nonzero homology at -i of the restricted
-    complex, scanning from position 0 and computing ranks lazily."""
-    c = restricted_complex(w, u, signs)
+    """Smallest i < stop_at with nonzero homology at -i of the complex on
+    ideal, scanning from position 0 and computing ranks lazily."""
+    c = build_complex(ideal, top_length, signs)
     prev_rank = 0
     for i in range(min(stop_at, c.top_length + 1)):
         nxt_rank = integer_rank(c.matrices[i + 1]) if i + 1 <= c.top_length else 0
@@ -245,23 +250,28 @@ def grade(
 
     u comparable with w is skipped (exact complex) except the identity, which
     supplies the l(w) baseline; u sharing a left or right descent with w is
-    skipped for the same reason.
+    skipped for the same reason. Every complex is B(w), walked once, cut
+    down below u, so comparability is membership.
     """
     n = w.n
     e = Permutation.identity(n)
     if w == e:
         return GradeReport(w, 0, e)
+    top = principal_ideal(w)
     best = w.length
     witness = e
     wl, wr = descents(w, "left"), descents(w, "right")
     for u in all_permutations(n):
         if best == 1:
             break
-        if u == e or bruhat_leq(u, w) or bruhat_leq(w, u):
+        if u in top.elements:
             continue
         if wl & descents(u, "left") or wr & descents(u, "right"):
             continue
-        i = _first_nonzero_position(w, u, signs, best)
+        part = top.below(u)
+        if w in part.elements:
+            continue
+        i = _first_nonzero_position(part, w.length, signs, best)
         if i is not None and i < best:
             best, witness = i, u
         if record is not None and i is not None:

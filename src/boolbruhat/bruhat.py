@@ -4,7 +4,6 @@ from __future__ import annotations
 import json
 from bisect import insort
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Literal
 
 from .permcore import (
@@ -60,6 +59,16 @@ class BruhatIdeal:
     def sorted_elements(self) -> list[Permutation]:
         return sorted(self.elements, key=lambda w: (w.length, w.images))
 
+    def below(self, u: Permutation) -> BruhatIdeal:
+        """The elements x <= u, with the covers whose top is kept.
+
+        The kept set is again an ideal of a graded poset, so its covers are
+        exactly the ambient covers between its elements, in the same order.
+        """
+        elements = frozenset(x for x in self.elements if bruhat_leq(x, u))
+        covers = tuple(p for p in self.covers if p[1] in elements)
+        return BruhatIdeal(self.degree, elements, covers)
+
 
 def bruhat_leq(u: Permutation, w: Permutation) -> bool:
     """u <= w in Bruhat order, by the sorted-prefix dominance criterion."""
@@ -96,21 +105,20 @@ def down_covers(w: Permutation) -> frozenset[Permutation]:
     return frozenset(out)
 
 
-def _ideal_elements(
-    w: Permutation, cap: int
-) -> tuple[frozenset[Permutation], list[tuple[Permutation, Permutation]]]:
-    """B(w), walked down from w, and every cover pair (x, y) met on the way.
+def principal_ideal(w: Permutation, cap: int = DEFAULT_IDEAL_CAP) -> BruhatIdeal:
+    """The explicit principal order ideal B(w), walked down from w.
 
-    Each element is expanded once, so each cover pair is recorded once.
+    Each element is expanded once, so each cover pair (x, y) met on the way
+    is recorded once. Not cached: a caller that reuses an ideal holds it.
     """
     seen = {w}
-    pairs = []
+    covers = []
     frontier = [w]
     while frontier:
         nxt = []
         for y in frontier:
             for x in down_covers(y):
-                pairs.append((x, y))
+                covers.append((x, y))
                 if x not in seen:
                     seen.add(x)
                     if len(seen) > cap:
@@ -119,46 +127,19 @@ def _ideal_elements(
                         )
                     nxt.append(x)
         frontier = nxt
-    return frozenset(seen), pairs
-
-
-def _ideal(
-    degree: int,
-    elements: frozenset[Permutation],
-    pairs: list[tuple[Permutation, Permutation]],
-) -> BruhatIdeal:
-    """The ideal on elements with the pairs whose top lies in it; elements is
-    down-closed, so their bottoms lie in it too."""
-    covers = [p for p in pairs if p[1] in elements]
     covers.sort(key=lambda p: (p[0].length, p[0].images, p[1].images))
-    return BruhatIdeal(degree, elements, tuple(covers))
-
-
-@lru_cache(maxsize=4096)
-def _principal_ideal_cached(w: Permutation, cap: int) -> BruhatIdeal:
-    return _ideal(w.n, *_ideal_elements(w, cap))
-
-
-def principal_ideal(w: Permutation, cap: int = DEFAULT_IDEAL_CAP) -> BruhatIdeal:
-    """The explicit principal order ideal B(w), enumerated top-down."""
-    return _principal_ideal_cached(w, cap)
+    return BruhatIdeal(w.n, frozenset(seen), tuple(covers))
 
 
 def intersect_ideals(
     v: Permutation, w: Permutation, cap: int = DEFAULT_IDEAL_CAP
 ) -> BruhatIdeal:
-    """B(v) /\\ B(w), with the covers of the smaller ideal that lie inside it.
-
-    An intersection of ideals in a graded poset is a graded ideal, so its
-    covers are exactly the ambient covers between its elements.
-    """
+    """B(v) /\\ B(w): the principal ideal of the shorter one, cut down below
+    the longer one."""
     if v.n != w.n:
         raise DegreeMismatchError(f"degrees {v.n} and {w.n} differ")
     small, big = (v, w) if v.length <= w.length else (w, v)
-    elements, pairs = _ideal_elements(small, cap)
-    return _ideal(
-        v.n, frozenset(x for x in elements if bruhat_leq(x, big)), pairs
-    )
+    return principal_ideal(small, cap).below(big)
 
 
 def maximal_elements(ideal: BruhatIdeal) -> list[Permutation]:

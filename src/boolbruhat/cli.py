@@ -9,7 +9,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .bgg_homology import (
     DEFAULT_DEGREE_CAP,
@@ -57,14 +56,6 @@ from .verify import (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    degree_cap: int
-    ideal_cap: int
-    fmt: str
-    seed: int
-
-
 def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name)
     return int(raw) if raw else default
@@ -89,7 +80,7 @@ def cmd_boolean(args) -> int:
         "right_descents": sorted(descents(w, "right")),
         "canonical_word": format_reduced_word(canonical_reduced_word(w)),
     }
-    if args.config.fmt == "json":
+    if args.fmt == "json":
         print(json.dumps(payload, indent=2))
     else:
         for key, value in payload.items():
@@ -105,12 +96,12 @@ def cmd_intersect(args) -> int:
     if mode in ("closed-form", "both"):
         closed = intersection_maximal_closed_form(v, w)
     if mode in ("enumerate", "both"):
-        enumerated = maximal_elements(intersect_ideals(v, w, args.config.ideal_cap))
+        enumerated = maximal_elements(intersect_ideals(v, w, args.ideal_cap))
     chosen = closed if closed is not None else enumerated
-    if args.config.fmt == "json":
+    if args.fmt == "json":
         print(json.dumps({"maximal": [format_permutation(x) for x in chosen]}, indent=2))
-    elif args.config.fmt == "dot":
-        print(ideal_to_dot(intersect_ideals(v, w, args.config.ideal_cap)))
+    elif args.fmt == "dot":
+        print(ideal_to_dot(intersect_ideals(v, w, args.ideal_cap)))
     else:
         for x in chosen:
             print(f"{format_permutation(x)}  [{format_reduced_word(canonical_reduced_word(x))}]")
@@ -123,17 +114,15 @@ def cmd_intersect(args) -> int:
 def cmd_grade(args) -> int:
     if args.all is not None:
         n = args.all
-        if n > args.config.degree_cap:
-            raise DegreeCapExceededError(f"degree {n} exceeds cap {args.config.degree_cap}")
-        rows = grade_table(n, build_sign_assignment(n, args.config.degree_cap))
-        if args.config.fmt == "json":
+        rows = grade_table(n, build_sign_assignment(n, args.degree_cap))
+        if args.fmt == "json":
             print(json.dumps(rows, indent=2))
         else:
             print(grade_table_csv(rows), end="")
         return 0
     w = _read_element(args, args.w)
-    report = grade(w, build_sign_assignment(w.n, args.config.degree_cap))
-    if args.config.fmt == "json":
+    report = grade(w, build_sign_assignment(w.n, args.degree_cap))
+    if args.fmt == "json":
         print(grade_report_json(report))
     else:
         print(f"grade({format_permutation(w)}) = {report.grade}")
@@ -176,7 +165,7 @@ def cmd_selfish(args) -> int:
         universe = range(1, args.k + 1)
     family = maximal_selfish(universe)
     members = sorted(sorted(m) for m in family.members)
-    if args.config.fmt == "json":
+    if args.fmt == "json":
         print(json.dumps({"universe": sorted(family.universe), "maximal": members}, indent=2))
     else:
         for m in members:
@@ -195,9 +184,9 @@ def cmd_verify(args) -> int:
         first = args.n
     if args.theorem in SAMPLING_CHECKS and args.sample is not None:
         kwargs["sample"] = args.sample
-        kwargs["seed"] = args.config.seed
+        kwargs["seed"] = args.seed
     if args.theorem in DEGREE_CAPPED_CHECKS:
-        kwargs["cap"] = args.config.degree_cap
+        kwargs["cap"] = args.degree_cap
     bad = check(first, **kwargs)
     if bad:
         print(f"FAIL {args.theorem}: {len(bad)} counterexample(s)")
@@ -212,14 +201,14 @@ def cmd_export(args) -> int:
     v = _read_element(args, args.v)
     w = _read_element(args, args.w)
     if args.matched:
-        cert = build_matching(v, w, args.config.ideal_cap)
-        if args.config.fmt == "json":
+        cert = build_matching(v, w, args.ideal_cap)
+        if args.fmt == "json":
             print(matching_to_json(cert))
         else:
             print(matching_to_dot(cert))
         return 0
-    ideal = intersect_ideals(v, w, args.config.ideal_cap)
-    if args.config.fmt == "json":
+    ideal = intersect_ideals(v, w, args.ideal_cap)
+    if args.fmt == "json":
         print(ideal_to_json(ideal))
     else:
         print(ideal_to_dot(ideal))
@@ -328,12 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.config = RunConfig(
-        degree_cap=args.degree_cap,
-        ideal_cap=args.ideal_cap,
-        fmt=args.fmt,
-        seed=args.seed,
-    )
     if args.command == "selfish" and args.k is None and args.universe is None:
         parser.error("selfish requires --k or --universe")
     if args.command == "grade" and args.w is None and args.all is None:

@@ -168,8 +168,6 @@ def optimal_partner(v: Permutation) -> Permutation:
     """Concatenation of per-run partners over an optimal run word of v."""
     if not is_boolean(v):
         raise ValueError("optimal_partner requires a boolean permutation")
-    if v.is_identity():
-        return v
     letters: list[int] = []
     for r in run_decompose(v).runs:
         a, b = r.start, r.span
@@ -189,8 +187,6 @@ def optimal_rank(v: Permutation) -> int:
     """ork(v) = l(v) - run(v); 0 for the identity."""
     if not is_boolean(v):
         raise ValueError("optimal_rank requires a boolean permutation")
-    if v.is_identity():
-        return 0
     return v.length - run_decompose(v).count
 
 

@@ -45,6 +45,7 @@ from .permcore import (
 )
 from .rs_afunction import a_function, rs_shape
 from .runs_matching import (
+    MatchingCertificate,
     build_matching,
     check_matching,
     optimal_partner,
@@ -96,10 +97,11 @@ def check_prop3_5(n: int) -> list[str]:
     """Membership in B(v) /\\ B(w) is support avoidance of obstruction runs."""
     bad = []
     for v in boolean_permutations(n):
+        below_v = principal_ideal(v).elements
         for w in all_permutations(n):
             forbidden = [r.letter_set for r in obstructions(v, w).minimal_runs]
             ideal = intersect_ideals(v, w)
-            for x in principal_ideal(v).elements:
+            for x in below_v:
                 member = x in ideal.elements
                 predicted = not any(f <= support(x) for f in forbidden)
                 if member != predicted:
@@ -170,9 +172,10 @@ def check_thm3_10(n: int) -> list[str]:
     return bad
 
 
-def _matching_homology_report(v, w, signs: SignAssignment) -> str | None:
+def _matching_homology_report(
+    v: Permutation, cert: MatchingCertificate, signs: SignAssignment
+) -> str | None:
     """Lemma check for one pair: matched ideal forces the predicted homology."""
-    cert = build_matching(v, w)
     problem = check_matching(cert)
     if problem is not None:
         return f"invalid certificate: {problem}"
@@ -191,46 +194,40 @@ def _matching_homology_report(v, w, signs: SignAssignment) -> str | None:
     return None
 
 
-def check_lem4_3(n: int, cap: int = DEFAULT_DEGREE_CAP) -> list[str]:
-    """Perfectly matched intersections give exact restricted complexes."""
+def _matching_sweep(n: int, cap: int, perfect: bool) -> list[str]:
+    """Homology reports for every (boolean v, w) pair of S_n whose matching
+    is perfect (perfect=True) or almost perfect (perfect=False)."""
     signs = build_sign_assignment(n, cap)
     bad = []
     for v in boolean_permutations(n):
         for w in all_permutations(n):
             cert = build_matching(v, w)
-            if not cert.is_perfect:
+            if cert.is_perfect != perfect:
                 continue
-            report = _matching_homology_report(v, w, signs)
+            report = _matching_homology_report(v, cert, signs)
             if report is not None:
                 bad.append(
                     f"v={format_permutation(v)} w={format_permutation(w)}: {report}"
                 )
     return bad
+
+
+def check_lem4_3(n: int, cap: int = DEFAULT_DEGREE_CAP) -> list[str]:
+    """Perfectly matched intersections give exact restricted complexes."""
+    return _matching_sweep(n, cap, perfect=True)
 
 
 def check_lem4_4(n: int, cap: int = DEFAULT_DEGREE_CAP) -> list[str]:
     """Almost perfectly matched intersections have one 1-dimensional homology
     class at the singleton's position."""
-    signs = build_sign_assignment(n, cap)
-    bad = []
-    for v in boolean_permutations(n):
-        for w in all_permutations(n):
-            cert = build_matching(v, w)
-            if cert.is_perfect:
-                continue
-            report = _matching_homology_report(v, w, signs)
-            if report is not None:
-                bad.append(
-                    f"v={format_permutation(v)} w={format_permutation(w)}: {report}"
-                )
-    return bad
+    return _matching_sweep(n, cap, perfect=False)
 
 
 def check_prop5_8(n: int) -> list[str]:
     """Every constructed matching is perfect or bounded by l(v) - run(v)."""
     bad = []
     for v in boolean_permutations(n):
-        bound = 0 if v.is_identity() else v.length - run_decompose(v).count
+        bound = v.length - run_decompose(v).count
         for w in all_permutations(n):
             cert = build_matching(v, w)
             if not verify_matching(cert):
@@ -269,6 +266,7 @@ def check_lem5_6(n: int, max_len: int = 8) -> list[str]:
     """slim(s, i) is the unique Bruhat maximum of the deleted-word closure,
     and that closure is its full principal ideal."""
     bad = []
+    ideals: dict[Permutation, frozenset[Permutation]] = {}
     for w in all_permutations(n):
         if not 1 <= w.length <= max_len:
             continue
@@ -277,8 +275,9 @@ def check_lem5_6(n: int, max_len: int = 8) -> list[str]:
                 hat = rw.letters[:i - 1] + rw.letters[i:]
                 closure = subword_closure(hat, n)
                 top = slim(rw, i)
-                ideal = principal_ideal(top).elements
-                if closure != ideal:
+                if top not in ideals:
+                    ideals[top] = principal_ideal(top).elements
+                if closure != ideals[top]:
                     bad.append(
                         f"s={format_reduced_word(rw)} i={i}: closure is not "
                         f"B({format_permutation(top)})"
@@ -312,7 +311,7 @@ def check_thm5_10(
             )
             continue
         if signs is not None:
-            report = _matching_homology_report(v, w, signs)
+            report = _matching_homology_report(v, cert, signs)
             if report is not None:
                 bad.append(f"v={format_permutation(v)}: {report}")
     return bad
@@ -322,7 +321,7 @@ def check_thm6_4(n: int) -> list[str]:
     """Second row of the insertion shape counts minimal runs, boolean case."""
     bad = []
     for v in boolean_permutations(n):
-        runs = 0 if v.is_identity() else run_decompose(v).count
+        runs = run_decompose(v).count
         row2 = rs_shape(v).part(2)
         if row2 != runs:
             bad.append(
@@ -335,7 +334,7 @@ def check_cor6_7(n: int) -> list[str]:
     """a(v) equals the minimal run count for boolean v."""
     bad = []
     for v in boolean_permutations(n):
-        runs = 0 if v.is_identity() else run_decompose(v).count
+        runs = run_decompose(v).count
         if a_function(v) != runs:
             bad.append(
                 f"v={format_permutation(v)}: a={a_function(v)}, runs {runs}"

@@ -66,6 +66,15 @@ def test_degree_cap():
         build_sign_assignment(8)
 
 
+def test_sign_assignment_is_built_once_per_degree_and_root_choice():
+    first = build_sign_assignment(3)
+    assert build_sign_assignment(3, 7) is first
+    assert build_sign_assignment(3, flip_roots=False) is first
+    build_sign_assignment(4)
+    with pytest.raises(DegreeCapExceededError):
+        build_sign_assignment(4, cap=3)
+
+
 def test_integer_rank_examples():
     assert integer_rank([]) == 0
     assert integer_rank([[0, 0], [0, 0]]) == 0

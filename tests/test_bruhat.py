@@ -82,6 +82,15 @@ def test_intersection_covers_match_ambient_covers():
                 if x in ideal.elements
             }
             assert set(ideal.covers) == expected
+    elems = all_permutations(4)
+    for w in elems:
+        below_w = principal_ideal(w)
+        for u in elems:
+            part = below_w.below(u)
+            assert part.elements == {
+                x for x in elems if bruhat_leq(x, w) and bruhat_leq(x, u)
+            }
+            assert part.covers == intersect_ideals(w, u).covers
 
 
 def test_intersection_is_commutative_and_an_ideal():

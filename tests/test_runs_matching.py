@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from boolbruhat import verify
 from boolbruhat.bruhat import intersect_ideals
 from boolbruhat.permcore import (
     Permutation,
@@ -79,8 +82,6 @@ def test_optimal_partner_of_single_run():
 def test_optimal_partner_realizes_the_bound():
     for n in (3, 4, 5):
         for v in boolean_permutations(n):
-            if v.is_identity():
-                continue
             cert = build_matching(v, optimal_partner(v))
             assert verify_matching(cert)
             singles = cert.singletons()
@@ -181,3 +182,17 @@ def test_certificate_exports():
     assert '"pair"' in js
     dot = matching_to_dot(cert)
     assert "penwidth=3" in dot
+
+
+def test_lemma_sweep_builds_each_matching_once(monkeypatch):
+    calls = Counter()
+    real = verify.build_matching
+
+    def counting(v, w, *args):
+        calls[(v, w)] += 1
+        return real(v, w, *args)
+
+    monkeypatch.setattr(verify, "build_matching", counting)
+    assert verify.check_lem4_3(3) == []
+    assert len(calls) == len(boolean_permutations(3)) * 6
+    assert set(calls.values()) == {1}
