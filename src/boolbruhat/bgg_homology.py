@@ -14,7 +14,13 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bruhat import BruhatIdeal, down_covers, intersect_ideals, principal_ideal
+from .bruhat import (
+    BruhatIdeal,
+    bruhat_leq,
+    down_covers,
+    intersect_ideals,
+    principal_ideal,
+)
 from .permcore import (
     Permutation,
     all_permutations,
@@ -251,7 +257,7 @@ def grade(
     u comparable with w is skipped (exact complex) except the identity, which
     supplies the l(w) baseline; u sharing a left or right descent with w is
     skipped for the same reason. Every complex is B(w), walked once, cut
-    down below u, so comparability is membership.
+    down below u, so u <= w is membership and w <= u one comparison.
     """
     n = w.n
     e = Permutation.identity(n)
@@ -268,10 +274,9 @@ def grade(
             continue
         if wl & descents(u, "left") or wr & descents(u, "right"):
             continue
-        part = top.below(u)
-        if w in part.elements:
+        if u.length > w.length and bruhat_leq(w, u):
             continue
-        i = _first_nonzero_position(part, w.length, signs, best)
+        i = _first_nonzero_position(top.below(u), w.length, signs, best)
         if i is not None and i < best:
             best, witness = i, u
         if record is not None and i is not None:

@@ -163,12 +163,19 @@ def support(w: Permutation) -> frozenset[int]:
 
 
 def descents(w: Permutation, side: Literal["left", "right"] = "right") -> frozenset[int]:
-    """Right descents {i : w(i) > w(i+1)}; left descents are those of w^-1."""
+    """Right descents {i : w(i) > w(i+1)}; left descents are those of w^-1,
+    the values i with i+1 standing before i in w's one-line notation."""
+    images = w.images
     if side == "left":
-        w = w.inverse()
-    elif side != "right":
+        position = [0] * len(images)
+        for p, v in enumerate(images):
+            position[v - 1] = p
+        return frozenset(
+            i for i in range(1, len(images)) if position[i] < position[i - 1]
+        )
+    if side != "right":
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return frozenset(i for i in range(1, w.n) if w.images[i - 1] > w.images[i])
+    return frozenset(i for i in range(1, len(images)) if images[i - 1] > images[i])
 
 
 def _word_iter(w: Permutation) -> Iterator[tuple[int, ...]]:
@@ -286,6 +293,37 @@ def all_permutations(n: int) -> list[Permutation]:
     return out
 
 
+def _capped_boolean_count(n: int) -> int:
+    """F_{2n-1}, the number of boolean elements of S_n; raises
+    WordCapExceededError when it exceeds DEFAULT_WORD_COUNT_CAP."""
+    a, b = 0, 1
+    for _ in range(2 * n - 2):
+        a, b = b, a + b
+    if b > DEFAULT_WORD_COUNT_CAP:
+        raise WordCapExceededError(
+            f"S_{n} has {b} boolean elements, more than the cap {DEFAULT_WORD_COUNT_CAP}"
+        )
+    return b
+
+
 def boolean_permutations(n: int) -> list[Permutation]:
-    """All boolean elements of S_n, sorted by (length, one-line notation)."""
-    return [w for w in all_permutations(n) if is_boolean(w)]
+    """All boolean elements of S_n, sorted by (length, one-line notation).
+
+    A boolean element is a product of distinct simple reflections. Letters
+    are added in the order 1..n-1; sigma_i commutes with every earlier letter
+    but sigma_{i-1}, so a word gets i appended, or also prepended when i-1 is
+    in it, and each element arises from exactly one word. Raises
+    WordCapExceededError when S_n has more than DEFAULT_WORD_COUNT_CAP of them.
+    """
+    _capped_boolean_count(n)
+    words: list[tuple[int, ...]] = [()]
+    for i in range(1, n):
+        grown = []
+        for word in words:
+            grown += (word, word + (i,))
+            if i - 1 in word:
+                grown.append((i,) + word)
+        words = grown
+    out = [Permutation.from_word(word, n) for word in words]
+    out.sort(key=lambda w: (w.length, w.images))
+    return out

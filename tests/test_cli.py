@@ -152,6 +152,12 @@ def test_verify_honours_the_degree_cap(capsys):
     assert "exceeds cap 3" in err
 
 
+def test_oversized_boolean_sweep_exits_two(capsys):
+    code, _, err = run(capsys, "verify", "thm6.4", "--n", "30")
+    assert code == 2
+    assert "more than the cap" in err
+
+
 def test_grade_without_arguments_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["grade"])

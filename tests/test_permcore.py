@@ -9,6 +9,7 @@ from boolbruhat.permcore import (
     Permutation,
     ReducedWord,
     WordCapExceededError,
+    _capped_boolean_count,
     all_permutations,
     boolean_permutations,
     canonical_reduced_word,
@@ -92,6 +93,8 @@ def test_descents_both_sides():
     w = Permutation((3, 1, 4, 2))
     assert descents(w, "right") == frozenset({1, 3})
     assert descents(w, "left") == frozenset({2})
+    for w in all_permutations(5):
+        assert descents(w, "left") == descents(w.inverse(), "right")
 
 
 def test_pattern_containment():
@@ -105,8 +108,29 @@ def test_boolean_characterizations_agree(w):
     assert is_boolean(w) == is_boolean_by_patterns(w) == is_boolean_by_words(w)
 
 
+def fibonacci(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
 def test_boolean_counts_small_degrees():
     assert [len(boolean_permutations(n)) for n in (1, 2, 3, 4, 5)] == [1, 2, 5, 13, 34]
+    for n in range(6, 13):
+        assert len(boolean_permutations(n)) == fibonacci(2 * n - 1), n
+
+
+def test_boolean_generator_matches_the_filter():
+    for n in range(1, 9):
+        oracle = [w for w in all_permutations(n) if is_boolean(w)]
+        assert boolean_permutations(n) == oracle, n
+
+
+def test_boolean_enumeration_is_capped():
+    assert _capped_boolean_count(15) == fibonacci(29)
+    with pytest.raises(WordCapExceededError):
+        boolean_permutations(16)
 
 
 def test_parse_and_format_round_trip():

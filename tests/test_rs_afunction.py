@@ -9,6 +9,7 @@ from boolbruhat.rs_afunction import (
     rs_shape,
     second_row_equals_runs_check,
 )
+from boolbruhat.verify import check_cor6_7, check_thm6_4
 
 perms = st.integers(2, 7).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(Permutation)
@@ -77,6 +78,11 @@ def test_second_row_counts_runs_for_boolean_elements():
             if v.is_identity():
                 continue
             assert second_row_equals_runs_check(v)
+
+
+def test_boolean_sweeps_reach_degree_ten():
+    assert check_thm6_4(10) == []
+    assert check_cor6_7(10) == []
 
 
 def test_second_row_check_rejects_non_boolean():
