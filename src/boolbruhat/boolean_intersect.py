@@ -82,6 +82,16 @@ def orientation(w: Permutation, k: int) -> Orientation:
     return hits[0]
 
 
+def increasing_pairs(v: Permutation) -> frozenset[int]:
+    """The k with {k, k+1} in supp(v) and orientation(v, k) INCREASING.
+
+    v must be boolean. Such a v is never interlaced, so every other adjacent
+    support pair is DECREASING, and k precedes k+1 exactly when v(k+1) > k+1.
+    """
+    supp = support(v)
+    return frozenset(k for k in supp if k + 1 in supp and v.images[k] > k + 1)
+
+
 def orientations_match(v: Permutation, w: Permutation, k: int) -> bool:
     """Orientations match unless one is increasing and the other decreasing."""
     ov, ow = orientation(v, k), orientation(w, k)
@@ -155,38 +165,28 @@ def support_components(v: Permutation) -> list[frozenset[int]]:
 
 
 def _run_candidates(v: Permutation) -> list[RunWord]:
-    """Directed run subwords of the canonical reduced word of v.
+    """Directed run subwords of the reduced words of v (v boolean).
 
-    v is boolean, so each letter occurs once and a run [i..i+j] is a subword
-    exactly when its letters appear monotonically positioned.
+    [i..i+j] is an increasing run when the pairs i..i+j-1 are all
+    increasing, and a decreasing run when none of them is.
     """
-    s = canonical_reduced_word(v).letters
-    pos = {letter: idx for idx, letter in enumerate(s)}
+    supp = support(v)
+    increasing = increasing_pairs(v)
     out = []
-    for i in pos:
+    for i in sorted(supp):
         out.append(RunWord(i, 0, "increasing"))
-        for direction in ("increasing", "decreasing"):
+        for direction, rising in (("increasing", True), ("decreasing", False)):
             j = 1
-            while i + j in pos:
-                seq = [pos[i + t] for t in range(j + 1)]
-                if direction == "decreasing":
-                    seq.reverse()
-                if all(a < b for a, b in zip(seq, seq[1:])):
-                    out.append(RunWord(i, j, direction))
-                    j += 1
-                else:
-                    break
+            while i + j in supp and (i + j - 1 in increasing) == rising:
+                out.append(RunWord(i, j, direction))
+                j += 1
     return out
 
 
 def _sub_runs(r: RunWord) -> tuple[RunWord, RunWord]:
     """The two one-step-shorter runs of r (drop last letter, drop first)."""
-    if r.direction == "increasing":
-        return RunWord(r.start, r.span - 1, "increasing"), RunWord(
-            r.start + 1, r.span - 1, "increasing"
-        )
-    return RunWord(r.start, r.span - 1, "decreasing"), RunWord(
-        r.start + 1, r.span - 1, "decreasing"
+    return RunWord(r.start, r.span - 1, r.direction), RunWord(
+        r.start + 1, r.span - 1, r.direction
     )
 
 

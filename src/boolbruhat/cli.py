@@ -66,7 +66,13 @@ def _read_element(args, text: str):
     itself accepts any degree so purely combinatorial commands can run on
     large examples."""
     if getattr(args, "rw", False):
-        return parse_reduced_word(text.replace(",", " "), args.rw_degree).permutation()
+        degree = args.rw_degree
+        if degree is None:
+            # one S_n for every word of the command, so v and w share it
+            words = " ".join(getattr(args, name, None) or "" for name in ("v", "w"))
+            letters = [int(tok) for tok in words.replace(",", " ").split()]
+            degree = max(letters, default=0) + 1
+        return parse_reduced_word(text.replace(",", " "), degree).permutation()
     return parse_permutation(text)
 
 
@@ -218,7 +224,10 @@ def cmd_export(args) -> int:
 def _add_rw_flags(sub):
     sub.add_argument("--rw", action="store_true", help="inputs are reduced words")
     sub.add_argument(
-        "--rw-degree", type=int, default=0, help="degree for reduced-word input"
+        "--rw-degree",
+        type=int,
+        default=None,
+        help="degree for reduced-word input (default: largest letter + 1)",
     )
 
 

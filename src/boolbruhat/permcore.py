@@ -19,7 +19,8 @@ class DegreeMismatchError(ValueError):
 
 
 class WordCapExceededError(RuntimeError):
-    """Reduced-word enumeration exceeded the configured guard or cap."""
+    """An enumeration (reduced words, boolean elements, all of S_n) exceeded
+    the configured guard or cap."""
 
 
 class NotReducedError(ValueError):
@@ -285,9 +286,20 @@ def format_reduced_word(s: ReducedWord) -> str:
 
 
 def all_permutations(n: int) -> list[Permutation]:
-    """All of S_n, sorted by (length, one-line notation)."""
+    """All of S_n, sorted by (length, one-line notation).
+
+    Raises WordCapExceededError when n! exceeds DEFAULT_WORD_COUNT_CAP, so
+    n <= 9 is served.
+    """
     from itertools import permutations as _perms
 
+    count = 1
+    for k in range(2, n + 1):
+        count *= k
+        if count > DEFAULT_WORD_COUNT_CAP:
+            raise WordCapExceededError(
+                f"S_{n} has {n}! elements, more than the cap {DEFAULT_WORD_COUNT_CAP}"
+            )
     out = [Permutation(p) for p in _perms(range(1, n + 1))]
     out.sort(key=lambda w: (w.length, w.images))
     return out

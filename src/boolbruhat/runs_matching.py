@@ -3,7 +3,6 @@ intersection ideals B(v) /\\ B(w) for boolean v."""
 from __future__ import annotations
 
 import json
-from bisect import insort
 from dataclasses import dataclass
 
 from .bruhat import (
@@ -17,12 +16,11 @@ from .bruhat import (
 from .permcore import (
     Permutation,
     ReducedWord,
-    canonical_reduced_word,
     format_permutation,
     is_boolean,
     support,
 )
-from .boolean_intersect import interval_components
+from .boolean_intersect import increasing_pairs, interval_components
 
 
 @dataclass(frozen=True)
@@ -66,33 +64,23 @@ class MatchingCertificate:
         return not self.singletons()
 
 
-def _minimal_blocks(comp: tuple[int, ...], before: dict[int, bool]) -> list[RunWord]:
+def _minimal_blocks(comp: tuple[int, ...], increasing: frozenset[int]) -> list[RunWord]:
     """Partition one support interval into the fewest directed runs.
 
-    before[k] says whether k precedes k+1 in every reduced word.  A block
-    [comp[j], comp[i]] is a valid run iff that flag is constant inside it;
-    minimized by dynamic programming, preferring long early blocks.
+    A block grows from the left while its inner pairs {k, k+1} keep one
+    direction; a one-letter block is increasing.
     """
-    m = len(comp)
-    best = [0] + [m + 1] * m
-    cut = [0] * (m + 1)
-    for i in range(1, m + 1):
-        for j in range(i - 1, -1, -1):
-            inner = {before[comp[t]] for t in range(j, i - 1)}
-            if len(inner) > 1:
-                break
-            if best[j] + 1 < best[i]:
-                best[i] = best[j] + 1
-                cut[i] = j
     blocks = []
-    i = m
-    while i > 0:
-        j = cut[i]
-        inner = {before[comp[t]] for t in range(j, i - 1)}
-        direction = "decreasing" if inner == {False} else "increasing"
-        blocks.append(RunWord(comp[j], i - 1 - j, direction))
-        i = j
-    blocks.reverse()
+    j = 0
+    while j < len(comp):
+        rising = comp[j] in increasing
+        i = j + 1
+        while i < len(comp) and (comp[i - 1] in increasing) == rising:
+            i += 1
+        span = i - 1 - j
+        direction = "increasing" if rising or span == 0 else "decreasing"
+        blocks.append(RunWord(comp[j], span, direction))
+        j = i
     return blocks
 
 
@@ -108,37 +96,28 @@ def run_decompose(v: Permutation) -> RunDecomposition:
     """
     if not is_boolean(v):
         raise ValueError("run_decompose requires a boolean permutation")
-    s = canonical_reduced_word(v).letters
-    pos = {letter: idx for idx, letter in enumerate(s)}
-    before = {k: pos[k] < pos.get(k + 1, len(s)) for k in pos}
+    increasing = increasing_pairs(v)
     blocks: list[RunWord] = []
     for comp in interval_components(support(v)):
-        blocks.extend(_minimal_blocks(comp, before))
+        blocks.extend(_minimal_blocks(comp, increasing))
 
-    # Arrange blocks: an edge between letter-adjacent blocks points at the
-    # one whose boundary letter must come later.
-    after_count = {b: 0 for b in blocks}
-    successors: dict[RunWord, list[RunWord]] = {b: [] for b in blocks}
-    by_start = {b.start: b for b in blocks}
-    for b in blocks:
-        top = b.start + b.span
-        nxt = by_start.get(top + 1)
-        if nxt is None:
-            continue
-        first, second = (b, nxt) if before[top] else (nxt, b)
-        successors[first].append(second)
-        after_count[second] += 1
+    # A block waits for its letter-adjacent neighbour when the boundary pair
+    # puts the neighbour first; the next block is the smallest-start block
+    # that is not waiting.
+    waits_for: dict[RunWord, list[RunWord]] = {b: [] for b in blocks}
+    for left, right in zip(blocks, blocks[1:]):
+        top = left.start + left.span
+        if right.start == top + 1:
+            if top in increasing:
+                waits_for[right].append(left)
+            else:
+                waits_for[left].append(right)
     ordered: list[RunWord] = []
-    ready = sorted(
-        (b for b in blocks if after_count[b] == 0), key=lambda b: b.start
-    )
-    while ready:
-        b = ready.pop(0)
+    pending = list(blocks)
+    while pending:
+        b = next(b for b in pending if all(p in ordered for p in waits_for[b]))
         ordered.append(b)
-        for nxt in successors[b]:
-            after_count[nxt] -= 1
-            if after_count[nxt] == 0:
-                insort(ready, nxt, key=lambda r: r.start)
+        pending.remove(b)
     letters: list[int] = []
     for r in ordered:
         letters.extend(r.letters)

@@ -96,9 +96,10 @@ def check_prop3_3(k_max: int) -> list[str]:
 def check_prop3_5(n: int) -> list[str]:
     """Membership in B(v) /\\ B(w) is support avoidance of obstruction runs."""
     bad = []
+    everyone = all_permutations(n)
     for v in boolean_permutations(n):
         below_v = principal_ideal(v).elements
-        for w in all_permutations(n):
+        for w in everyone:
             forbidden = [r.letter_set for r in obstructions(v, w).minimal_runs]
             ideal = intersect_ideals(v, w)
             for x in below_v:
@@ -116,12 +117,16 @@ def check_cor3_6(n: int, sample: int | None = None, seed: int = 0) -> list[str]:
     """Closed-form maximal elements equal the enumerated ones."""
     bad = []
     booleans = boolean_permutations(n)
-    everyone = all_permutations(n)
     if sample is None:
+        everyone = all_permutations(n)
         pairs = [(v, w) for v in booleans for w in everyone]
     else:
+        # w is a seeded shuffle of 1..n, so S_n is never enumerated
         rng = random.Random(seed)
-        pairs = [(rng.choice(booleans), rng.choice(everyone)) for _ in range(sample)]
+        pairs = [
+            (rng.choice(booleans), Permutation(rng.sample(range(1, n + 1), n)))
+            for _ in range(sample)
+        ]
     for v, w in pairs:
         closed = intersection_maximal_closed_form(v, w)
         enumerated = maximal_elements(intersect_ideals(v, w))
@@ -198,9 +203,10 @@ def _matching_sweep(n: int, cap: int, perfect: bool) -> list[str]:
     """Homology reports for every (boolean v, w) pair of S_n whose matching
     is perfect (perfect=True) or almost perfect (perfect=False)."""
     signs = build_sign_assignment(n, cap)
+    everyone = all_permutations(n)
     bad = []
     for v in boolean_permutations(n):
-        for w in all_permutations(n):
+        for w in everyone:
             cert = build_matching(v, w)
             if cert.is_perfect != perfect:
                 continue
@@ -226,9 +232,10 @@ def check_lem4_4(n: int, cap: int = DEFAULT_DEGREE_CAP) -> list[str]:
 def check_prop5_8(n: int) -> list[str]:
     """Every constructed matching is perfect or bounded by l(v) - run(v)."""
     bad = []
+    everyone = all_permutations(n)
     for v in boolean_permutations(n):
         bound = v.length - run_decompose(v).count
-        for w in all_permutations(n):
+        for w in everyone:
             cert = build_matching(v, w)
             if not verify_matching(cert):
                 bad.append(

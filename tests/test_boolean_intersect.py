@@ -2,6 +2,7 @@ import pytest
 
 from boolbruhat.boolean_intersect import (
     Orientation,
+    increasing_pairs,
     interval_components,
     intersection_maximal_closed_form,
     maximal_selfish,
@@ -13,8 +14,13 @@ from boolbruhat.boolean_intersect import (
     support_components,
 )
 from boolbruhat.bruhat import intersect_ideals, maximal_elements
-from boolbruhat.permcore import Permutation, parse_permutation, support
-from boolbruhat.verify import _brute_maximal_selfish, orientation_oracle
+from boolbruhat.permcore import (
+    Permutation,
+    boolean_permutations,
+    parse_permutation,
+    support,
+)
+from boolbruhat.verify import _brute_maximal_selfish, check_cor3_6, orientation_oracle
 
 
 def fs(*xs):
@@ -104,6 +110,17 @@ def test_orientation_agrees_with_word_oracle(n):
                 assert orientation(w, k) == orientation_oracle(w, k)
 
 
+def test_increasing_pairs_agree_with_word_oracle():
+    for n in range(2, 8):
+        for v in boolean_permutations(n):
+            supp = support(v)
+            pairs = [k for k in sorted(supp) if k + 1 in supp]
+            assert increasing_pairs(v) <= set(pairs)
+            for k in pairs:
+                oracle = orientation_oracle(v, k) is Orientation.INCREASING
+                assert (k in increasing_pairs(v)) == oracle, (v, k)
+
+
 def test_obstruction_runs_for_two_known_pairs():
     v = Permutation.from_word((3, 2, 1), 4)
     w = Permutation.from_word((2, 1, 3, 2), 4)
@@ -172,3 +189,7 @@ def test_closed_form_of_self_intersection_is_the_element():
     for images in [(1, 2, 3), (2, 1, 3), (3, 1, 2)]:
         v = Permutation(images)
         assert intersection_maximal_closed_form(v, v) == [v]
+
+
+def test_sampled_closed_form_check_reaches_degree_twelve():
+    assert check_cor3_6(12, sample=20, seed=0) == []

@@ -33,6 +33,18 @@ def test_boolean_from_reduced_word(capsys):
     assert json.loads(out)["boolean"] is True
 
 
+def test_reduced_word_degree_defaults_to_largest_letter_plus_one(capsys):
+    code, out, _ = run(capsys, "ork", "--rw", "2 1 3")
+    assert code == 0
+    assert "runs: 2" in out
+    code, _, err = run(capsys, "ork", "--rw", "--rw-degree", "3", "2 1 3")
+    assert code == 2
+    assert "out of range for S_3" in err
+    code, out, _ = run(capsys, "intersect", "--rw", "1", "3 2")
+    assert code == 0
+    assert out.startswith("1,2,3,4  []")
+
+
 def test_intersect_both_modes_agree(capsys):
     code, out, _ = run(capsys, "intersect", "2,3,4,5,1", "3,1,5,2,4")
     assert code == 0
@@ -154,6 +166,12 @@ def test_verify_honours_the_degree_cap(capsys):
 
 def test_oversized_boolean_sweep_exits_two(capsys):
     code, _, err = run(capsys, "verify", "thm6.4", "--n", "30")
+    assert code == 2
+    assert "more than the cap" in err
+
+
+def test_oversized_sweep_over_all_of_s_n_exits_two(capsys):
+    code, _, err = run(capsys, "verify", "prop5.8", "--n", "12")
     assert code == 2
     assert "more than the cap" in err
 

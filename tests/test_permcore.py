@@ -145,3 +145,8 @@ def test_all_permutations_sorted_by_length():
     lengths = [w.length for w in all_permutations(4)]
     assert lengths == sorted(lengths)
     assert len(set(all_permutations(4))) == 24
+
+
+def test_all_permutations_is_capped():
+    with pytest.raises(WordCapExceededError):
+        all_permutations(10)

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from boolbruhat import verify
-from boolbruhat.bruhat import intersect_ideals
+from boolbruhat.bruhat import RunWord, intersect_ideals
 from boolbruhat.permcore import (
     Permutation,
     ReducedWord,
@@ -43,7 +43,7 @@ def word_min_runs(letters):
     return best[total]
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_run_count_matches_all_words_oracle(n):
     for v in boolean_permutations(n):
         if v.is_identity():
@@ -63,7 +63,19 @@ def test_run_decomposition_of_long_example():
     dec = run_decompose(v)
     assert v.length == 11
     assert dec.count == 3
+    assert dec.word.letters == (4, 3, 2, 1, 11, 10, 9, 5, 6, 7, 8)
+    assert dec.runs == (
+        RunWord(1, 3, "decreasing"),
+        RunWord(9, 2, "decreasing"),
+        RunWord(5, 3, "increasing"),
+    )
     assert optimal_rank(v) == 8
+
+
+def test_one_letter_runs_are_increasing():
+    dec = run_decompose(Permutation.from_word((2, 1, 3), 4))
+    assert dec.runs == (RunWord(1, 1, "decreasing"), RunWord(3, 0, "increasing"))
+    assert dec.word.letters == (2, 1, 3)
 
 
 def test_run_decompose_rejects_non_boolean():
