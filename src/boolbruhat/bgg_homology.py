@@ -12,7 +12,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .bruhat import (
     BruhatIdeal,
@@ -22,6 +22,7 @@ from .bruhat import (
     principal_ideal,
 )
 from .permcore import (
+    DegreeMismatchError,
     Permutation,
     all_permutations,
     descents,
@@ -45,6 +46,11 @@ class SignAssignment:
 
     degree: int
     sign: dict[tuple[Permutation, Permutation], int]
+
+    @cached_property
+    def elements(self) -> list[Permutation]:
+        """All of S_degree in (length, one-line) order, built on first use."""
+        return all_permutations(self.degree)
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,16 +264,21 @@ def grade(
     supplies the l(w) baseline; u sharing a left or right descent with w is
     skipped for the same reason. Every complex is B(w), walked once, cut
     down below u, so u <= w is membership and w <= u one comparison.
+    Raises DegreeMismatchError when signs is not an assignment of S_n for
+    the n of w.
     """
-    n = w.n
-    e = Permutation.identity(n)
+    if signs.degree != w.n:
+        raise DegreeMismatchError(
+            f"sign assignment of degree {signs.degree} for w in S_{w.n}"
+        )
+    e = Permutation.identity(w.n)
     if w == e:
         return GradeReport(w, 0, e)
     top = principal_ideal(w)
     best = w.length
     witness = e
     wl, wr = descents(w, "left"), descents(w, "right")
-    for u in all_permutations(n):
+    for u in signs.elements:
         if best == 1:
             break
         if u in top.elements:
@@ -308,8 +319,10 @@ def is_perfect(w: Permutation, signs: SignAssignment) -> bool:
 
 
 def grade_table(n: int, signs: SignAssignment) -> list[dict]:
+    if signs.degree != n:
+        raise DegreeMismatchError(f"sign assignment of degree {signs.degree} for S_{n}")
     rows = []
-    for w in all_permutations(n):
+    for w in signs.elements:
         report = grade(w, signs)
         rows.append(
             {

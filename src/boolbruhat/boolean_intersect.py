@@ -11,12 +11,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .bruhat import RunWord, run_word_leq
-from .permcore import (
-    Permutation,
-    canonical_reduced_word,
-    is_boolean,
-    support,
-)
+from .permcore import Permutation, is_boolean, support
 
 
 class Orientation(enum.Enum):
@@ -35,10 +30,9 @@ class SelfishFamily:
 
 @dataclass(frozen=True)
 class ObstructionSet:
-    """Minimal run subwords of v's word not below w, plus mismatched letters."""
+    """Minimal run subwords of v's word not below w."""
 
     minimal_runs: frozenset[RunWord]
-    mismatched_letters: frozenset[int]
     all_j_equal_1: bool
 
 
@@ -92,12 +86,6 @@ def increasing_pairs(v: Permutation) -> frozenset[int]:
     return frozenset(k for k in supp if k + 1 in supp and v.images[k] > k + 1)
 
 
-def orientations_match(v: Permutation, w: Permutation, k: int) -> bool:
-    """Orientations match unless one is increasing and the other decreasing."""
-    ov, ow = orientation(v, k), orientation(w, k)
-    return {ov, ow} != {Orientation.INCREASING, Orientation.DECREASING}
-
-
 def _maximal_selfish_interval(size: int) -> list[frozenset[int]]:
     """Maximal selfish subsets of [1, size], by the two-step recursion."""
     if size == 0:
@@ -140,28 +128,21 @@ def interval_components(universe) -> list[tuple[int, ...]]:
     return comps
 
 
+def _selfish_product(intervals) -> list[frozenset[int]]:
+    """Every union of one maximal selfish subset per interval of consecutive
+    integers."""
+    per_interval = [
+        [frozenset(iv[0] - 1 + i for i in x) for x in _maximal_selfish_interval(len(iv))]
+        for iv in intervals
+    ]
+    return [frozenset().union(*choice) for choice in product(*per_interval)]
+
+
 def maximal_selfish(universe) -> SelfishFamily:
     """All maximal selfish subsets: products over interval components."""
     universe = tuple(sorted(universe))
-    comps = interval_components(universe)
-    per_comp = []
-    for comp in comps:
-        lo = comp[0]
-        per_comp.append(
-            [frozenset(lo - 1 + i for i in x) for x in _maximal_selfish_interval(len(comp))]
-        )
-    members = [
-        frozenset().union(*choice) if choice else frozenset()
-        for choice in product(*per_comp)
-    ]
+    members = _selfish_product(interval_components(universe))
     return SelfishFamily(universe, frozenset(members))
-
-
-def support_components(v: Permutation) -> list[frozenset[int]]:
-    """Maximal interval components of supp(v); the ideal B(v) factors over them."""
-    if not is_boolean(v):
-        raise ValueError("support_components requires a boolean permutation")
-    return [frozenset(c) for c in interval_components(support(v))]
 
 
 def _run_candidates(v: Permutation) -> list[RunWord]:
@@ -204,25 +185,29 @@ def obstructions(v: Permutation, w: Permutation) -> ObstructionSet:
         lo, hi = _sub_runs(r)
         if run_word_leq(lo, w) and run_word_leq(hi, w):
             minimal.append(r)
-
-    common = support(v) & support(w)
-    mismatched = set()
-    for k in sorted(common):
-        if k + 1 in common and not orientations_match(v, w, k):
-            mismatched.update((k, k + 1))
-
     return ObstructionSet(
         minimal_runs=frozenset(minimal),
-        mismatched_letters=frozenset(mismatched),
         all_j_equal_1=all(r.span <= 1 for r in minimal),
     )
 
 
 def subword_element(v: Permutation, letters) -> Permutation:
-    """The element of B(v) supported on the given letters (v boolean)."""
-    s = canonical_reduced_word(v).letters
-    keep = frozenset(letters)
-    return Permutation.from_word([i for i in s if i in keep], v.n)
+    """The element of B(v) supported on the given letters (v boolean).
+
+    Letters outside supp(v) are dropped. The kept letters are placed in
+    increasing order; sigma_k commutes with every smaller letter but
+    sigma_{k-1}, so k goes in front exactly when k-1 is kept and comes after
+    k in v.
+    """
+    kept = set(letters) & support(v)
+    increasing = increasing_pairs(v)
+    word: list[int] = []
+    for k in sorted(kept):
+        if k - 1 in kept and k - 1 not in increasing:
+            word.insert(0, k)
+        else:
+            word.append(k)
+    return Permutation.from_word(word, v.n)
 
 
 def _pair_chains(pairs) -> list[tuple[int, ...]]:
@@ -254,21 +239,8 @@ def intersection_maximal_closed_form(
     supports: set[frozenset[int]]
     if obs.all_j_equal_1:
         pairs = [r.letter_set for r in obs.minimal_runs if r.span == 1]
-        conflicted = frozenset().union(*pairs) if pairs else frozenset()
-        base = (support(v) & support(w)) - conflicted
-        per_chain = []
-        for chain in _pair_chains(pairs):
-            lo = chain[0]
-            per_chain.append(
-                [
-                    frozenset(lo - 1 + i for i in x)
-                    for x in _maximal_selfish_interval(len(chain))
-                ]
-            )
-        supports = {
-            base | frozenset().union(*choice) if choice else base
-            for choice in product(*per_chain)
-        }
+        base = (support(v) & support(w)) - frozenset().union(*pairs)
+        supports = {base | s for s in _selfish_product(_pair_chains(pairs))}
     else:
         forbidden = [r.letter_set for r in obs.minimal_runs]
         admissible = [

@@ -185,10 +185,8 @@ def cmd_verify(args) -> int:
     if args.theorem in K_PARAM_CHECKS:
         first = args.k if args.k is not None else 15
     else:
-        if args.n is None:
-            raise SystemExit("--n is required for this check")
         first = args.n
-    if args.theorem in SAMPLING_CHECKS and args.sample is not None:
+    if args.sample is not None:
         kwargs["sample"] = args.sample
         kwargs["seed"] = args.seed
     if args.theorem in DEGREE_CAPPED_CHECKS:
@@ -326,10 +324,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "selfish" and args.k is None and args.universe is None:
-        parser.error("selfish requires --k or --universe")
-    if args.command == "grade" and args.w is None and args.all is None:
-        parser.error("grade requires a permutation or --all N")
+    if args.command == "selfish" and (args.k is None) == (args.universe is None):
+        parser.error("selfish takes one of --k and --universe")
+    if args.command == "grade" and (args.w is None) == (args.all is None):
+        parser.error("grade takes one of a permutation and --all N")
+    if args.command == "verify":
+        if args.theorem in K_PARAM_CHECKS:
+            if args.n is not None:
+                parser.error(f"{args.theorem} takes --k, not --n")
+        elif args.k is not None:
+            parser.error(f"--k applies only to {', '.join(sorted(K_PARAM_CHECKS))}")
+        elif args.n is None:
+            parser.error(f"{args.theorem} requires --n")
+        if args.sample is not None and args.theorem not in SAMPLING_CHECKS:
+            parser.error(f"--sample applies only to {', '.join(sorted(SAMPLING_CHECKS))}")
     try:
         return args.func(args)
     except (

@@ -214,8 +214,8 @@ def build_matching(
     if not is_boolean(v):
         raise ValueError("build_matching requires boolean v")
     ideal = intersect_ideals(v, w, cap)
-    family = frozenset(frozenset(support(x)) for x in ideal.elements)
-    by_support = {frozenset(support(x)): x for x in ideal.elements}
+    by_support = {support(x): x for x in ideal.elements}
+    family = frozenset(by_support)
     steps: list[Step] = []
     for step in _match_family(family):
         if step[0] == "singleton":

@@ -20,7 +20,12 @@ from boolbruhat.bgg_homology import (
     restricted_complex,
 )
 from boolbruhat.bruhat import bruhat_leq
-from boolbruhat.permcore import Permutation, all_permutations, boolean_permutations
+from boolbruhat.permcore import (
+    DegreeMismatchError,
+    Permutation,
+    all_permutations,
+    boolean_permutations,
+)
 from boolbruhat.rs_afunction import YoungShape, a_function
 from boolbruhat.verify import check_thm7_2
 
@@ -46,6 +51,7 @@ def test_hand_built_rank_three_sign_assignment_is_valid():
         },
     )
     assert diamond_violations(signs) == []
+    assert signs.elements == all_permutations(3)
 
 
 def test_single_cover_sign_is_the_root_value():
@@ -167,6 +173,13 @@ def test_grade_pruning_matches_an_unpruned_scan():
         signs = build_sign_assignment(n)
         for w in elems:
             assert grade(w, signs).grade == unpruned_grade(w, signs), w
+
+
+def test_grade_rejects_a_sign_assignment_of_another_degree():
+    with pytest.raises(DegreeMismatchError):
+        grade(Permutation((2, 1, 3)), build_sign_assignment(4))
+    with pytest.raises(DegreeMismatchError):
+        grade_table(3, build_sign_assignment(4))
 
 
 def test_parabolic_longest_elements_are_perfect():

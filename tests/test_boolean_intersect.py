@@ -8,15 +8,14 @@ from boolbruhat.boolean_intersect import (
     maximal_selfish,
     obstructions,
     orientation,
-    orientations_match,
     selfish_count,
     subword_element,
-    support_components,
 )
 from boolbruhat.bruhat import intersect_ideals, maximal_elements
 from boolbruhat.permcore import (
     Permutation,
     boolean_permutations,
+    canonical_reduced_word,
     parse_permutation,
     support,
 )
@@ -68,14 +67,6 @@ def test_interval_components():
     assert interval_components([]) == []
 
 
-def test_support_components_of_boolean():
-    v = parse_permutation("3,1,2,6,4,7,8,9,5")
-    assert sorted(sorted(c) for c in support_components(v)) == [
-        [1, 2],
-        [4, 5, 6, 7, 8],
-    ]
-
-
 def test_orientation_table_for_two_specific_permutations():
     v = parse_permutation("3,1,2,6,4,7,8,9,5")
     w = parse_permutation("3,2,5,1,8,4,7,6,9")
@@ -88,10 +79,6 @@ def test_orientation_table_for_two_specific_permutations():
     for k, (ov, ow) in expected.items():
         assert orientation(v, k) == ov
         assert orientation(w, k) == ow
-    assert orientations_match(v, w, 1)
-    assert not orientations_match(v, w, 4)
-    assert not orientations_match(v, w, 5)
-    assert orientations_match(v, w, 6)
 
 
 def test_orientation_requires_support():
@@ -141,6 +128,19 @@ def test_subword_element_picks_letters_in_word_order():
     x = subword_element(v, {2, 1, 5, 7})
     assert support(x) == fs(1, 2, 5, 7)
     assert x.length == 4
+
+
+def test_subword_element_agrees_with_canonical_word_filter():
+    for n in range(2, 7):
+        for v in boolean_permutations(n):
+            supp = sorted(support(v))
+            outside = min(set(range(1, n + 1)) - set(supp))
+            letters = supp + [outside]
+            word = canonical_reduced_word(v).letters
+            for mask in range(1 << len(letters)):
+                keep = {x for i, x in enumerate(letters) if mask >> i & 1}
+                oracle = Permutation.from_word([i for i in word if i in keep], n)
+                assert subword_element(v, keep) == oracle, (v, keep)
 
 
 def test_closed_form_on_worked_nine_point_example():

@@ -180,3 +180,20 @@ def test_grade_without_arguments_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["grade"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "thm6.4"],
+        ["verify", "prop3.3", "--n", "99"],
+        ["verify", "thm2.4", "--n", "3", "--sample", "5"],
+        ["verify", "thm2.4", "--n", "3", "--k", "4"],
+        ["selfish", "--k", "3", "--universe", "1,2"],
+        ["grade", "2,1,3", "--all", "3"],
+    ],
+)
+def test_flags_that_would_be_ignored_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
