@@ -10,7 +10,6 @@ from .permcore import (
     descents,
     enumerate_reduced_words,
     is_boolean,
-    length,
     parse_permutation,
     support,
 )
@@ -37,7 +36,6 @@ from .runs_matching import (
     optimal_rank,
     run_decompose,
     slim,
-    verify_matching,
 )
 from .rs_afunction import YoungShape, a_function, longest_parabolic_element, rs_shape
 from .bgg_homology import (
@@ -46,7 +44,6 @@ from .bgg_homology import (
     SignAssignment,
     build_sign_assignment,
     grade,
-    grade_of_parabolic_longest,
     homology_ranks,
     is_longest_parabolic_element,
     is_perfect,
@@ -62,7 +59,6 @@ __all__ = [
     "descents",
     "enumerate_reduced_words",
     "is_boolean",
-    "length",
     "parse_permutation",
     "support",
     "BruhatIdeal",
@@ -83,7 +79,6 @@ __all__ = [
     "optimal_rank",
     "run_decompose",
     "slim",
-    "verify_matching",
     "YoungShape",
     "a_function",
     "longest_parabolic_element",
@@ -93,7 +88,6 @@ __all__ = [
     "SignAssignment",
     "build_sign_assignment",
     "grade",
-    "grade_of_parabolic_longest",
     "homology_ranks",
     "is_longest_parabolic_element",
     "is_perfect",

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .bruhat import (
     BruhatIdeal,
@@ -42,15 +42,12 @@ class DegreeCapExceededError(RuntimeError):
 @dataclass(frozen=True, eq=False)
 class SignAssignment:
     """A map from cover pairs (x, y), y covering x, to {+1, -1} satisfying
-    the diamond condition on every length-2 interval of S_n."""
+    the diamond condition on every length-2 interval of S_n, with elements,
+    all of S_n in (length, one-line) order, whose objects make up the keys."""
 
     degree: int
     sign: dict[tuple[Permutation, Permutation], int]
-
-    @cached_property
-    def elements(self) -> list[Permutation]:
-        """All of S_degree in (length, one-line) order, built on first use."""
-        return all_permutations(self.degree)
+    elements: list[Permutation]
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,8 +95,9 @@ def build_sign_assignment(
 @lru_cache(maxsize=8)
 def _build_sign_assignment(n: int, flip_roots: bool) -> SignAssignment:
     root = -1 if flip_roots else 1
+    elements = all_permutations(n)
     sign: dict[tuple[Permutation, Permutation], int] = {}
-    for z, down, diamonds in _diamonds(n):
+    for z, down, diamonds in _diamonds(elements):
         constraints: dict[Permutation, list[tuple[Permutation, int]]] = {
             y: [] for y in down
         }
@@ -126,19 +124,21 @@ def _build_sign_assignment(n: int, flip_roots: bool) -> SignAssignment:
                         )
         for y in down:
             sign[(y, z)] = value[y]
-    return SignAssignment(n, sign)
+    return SignAssignment(n, sign, elements)
 
 
-def _diamonds(n: int):
-    """Each z of S_n in (length, one-line) order, with its down-covers in that
-    order and the diamonds (y1, y2, x) below it: y1 before y2, both covering x.
+def _diamonds(elements: list[Permutation]):
+    """Each z of elements, all of S_n in (length, one-line) order, with its
+    down-covers in that order and the diamonds (y1, y2, x) below it: y1
+    before y2, both covering x.
 
     Every element comes after its down-covers, so down_covers runs once per
-    element.
+    element; each cover it returns is swapped for the object of elements.
     """
+    own = {z: z for z in elements}
     down_of: dict[Permutation, list[Permutation]] = {}
-    for z in all_permutations(n):
-        down = down_of[z] = _sorted_perms(down_covers(z))
+    for z in elements:
+        down = down_of[z] = _sorted_perms(own[y] for y in down_covers(z))
         yield z, down, [
             (y1, y2, x)
             for a, y1 in enumerate(down)
@@ -152,7 +152,7 @@ def diamond_violations(signs: SignAssignment) -> list[tuple[Permutation, Permuta
     """Length-2 intervals [x, z] whose four edge signs do not multiply to -1."""
     sign = signs.sign
     bad = []
-    for z, _down, diamonds in _diamonds(signs.degree):
+    for z, _down, diamonds in _diamonds(signs.elements):
         for y1, y2, x in diamonds:
             if sign[(x, y1)] * sign[(y1, z)] * sign[(x, y2)] * sign[(y2, z)] != -1:
                 bad.append((x, z))
@@ -293,13 +293,6 @@ def grade(
         if record is not None and i is not None:
             record[u] = i
     return GradeReport(w, best, witness)
-
-
-def grade_of_parabolic_longest(mu, n: int, signs: SignAssignment) -> GradeReport:
-    from .rs_afunction import longest_parabolic_element
-
-    w = longest_parabolic_element(mu, n)
-    return grade(w, signs)
 
 
 def is_longest_parabolic_element(w: Permutation) -> bool:

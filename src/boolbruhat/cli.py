@@ -56,6 +56,18 @@ from .verify import (
 )
 
 
+# the formats other than text that each command prints; "grade --all" is the
+# table form of grade
+FORMATS = {
+    "boolean": {"json"},
+    "intersect": {"json", "dot"},
+    "grade": {"json"},
+    "grade --all": {"json", "csv"},
+    "selfish": {"json"},
+    "export": {"json", "dot"},
+}
+
+
 def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name)
     return int(raw) if raw else default
@@ -188,6 +200,7 @@ def cmd_verify(args) -> int:
         first = args.n
     if args.sample is not None:
         kwargs["sample"] = args.sample
+    if args.seed is not None:
         kwargs["seed"] = args.seed
     if args.theorem in DEGREE_CAPPED_CHECKS:
         kwargs["cap"] = args.degree_cap
@@ -240,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["text", "json", "dot", "csv"],
         default="text",
     )
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, help="seed for verify --sample (default 0)")
     parser.add_argument(
         "--degree-cap",
         type=int,
@@ -328,6 +341,17 @@ def main(argv=None) -> int:
         parser.error("selfish takes one of --k and --universe")
     if args.command == "grade" and (args.w is None) == (args.all is None):
         parser.error("grade takes one of a permutation and --all N")
+    command = args.command
+    if command == "grade" and args.all is not None:
+        command = "grade --all"
+        if args.rw or args.rw_degree is not None:
+            parser.error("grade --all N takes no --rw or --rw-degree")
+    if getattr(args, "rw_degree", None) is not None and not args.rw:
+        parser.error("--rw-degree applies only with --rw")
+    if args.fmt != "text" and args.fmt not in FORMATS.get(command, ()):
+        parser.error(f"{command} does not print --format {args.fmt}")
+    if args.seed is not None and getattr(args, "sample", None) is None:
+        parser.error("--seed applies only to verify with --sample")
     if args.command == "verify":
         if args.theorem in K_PARAM_CHECKS:
             if args.n is not None:

@@ -138,16 +138,6 @@ class ReducedWord:
         return len(self.letters)
 
 
-def compose(a: Permutation, b: Permutation) -> Permutation:
-    """(a o b)(i) = a(b(i))."""
-    return a * b
-
-
-def length(w: Permutation) -> int:
-    """Number of inversions; equals the letter count of any reduced word."""
-    return w.length
-
-
 def support(w: Permutation) -> frozenset[int]:
     """Generator indices appearing in reduced words of w.
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .permcore import Permutation, is_boolean
+from .permcore import Permutation
 
 
 @dataclass(frozen=True)
@@ -61,15 +61,6 @@ def a_function(w: Permutation) -> int:
     """Lusztig's a-function: sum of mu_i(mu_i - 1)/2 over the transposed shape."""
     mu = rs_shape(w).transpose()
     return sum(m * (m - 1) // 2 for m in mu.parts)
-
-
-def second_row_equals_runs_check(v: Permutation) -> bool:
-    """Named check: second row of the RS shape equals the minimal run count."""
-    from .runs_matching import run_decompose
-
-    if not is_boolean(v):
-        raise ValueError("check requires a boolean permutation")
-    return rs_shape(v).part(2) == run_decompose(v).count
 
 
 def longest_parabolic_element(mu: YoungShape, n: int) -> Permutation:

@@ -279,10 +279,6 @@ def check_matching(cert: MatchingCertificate) -> str | None:
     return None
 
 
-def verify_matching(cert: MatchingCertificate) -> bool:
-    return check_matching(cert) is None
-
-
 def matching_to_json(cert: MatchingCertificate) -> str:
     steps = []
     for step in cert.steps:

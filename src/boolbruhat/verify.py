@@ -17,7 +17,6 @@ from .bgg_homology import (
     build_complex,
     build_sign_assignment,
     grade,
-    grade_of_parabolic_longest,
     homology_ranks,
     is_longest_parabolic_element,
     is_perfect,
@@ -43,7 +42,7 @@ from .permcore import (
     is_boolean_by_words,
     support,
 )
-from .rs_afunction import a_function, rs_shape
+from .rs_afunction import YoungShape, a_function, longest_parabolic_element, rs_shape
 from .runs_matching import (
     MatchingCertificate,
     build_matching,
@@ -51,7 +50,6 @@ from .runs_matching import (
     optimal_partner,
     run_decompose,
     slim,
-    verify_matching,
 )
 
 
@@ -237,10 +235,11 @@ def check_prop5_8(n: int) -> list[str]:
         bound = v.length - run_decompose(v).count
         for w in everyone:
             cert = build_matching(v, w)
-            if not verify_matching(cert):
+            problem = check_matching(cert)
+            if problem is not None:
                 bad.append(
                     f"v={format_permutation(v)} w={format_permutation(w)}: "
-                    f"certificate invalid: {check_matching(cert)}"
+                    f"certificate invalid: {problem}"
                 )
                 continue
             singles = cert.singletons()
@@ -269,13 +268,14 @@ def subword_closure(letters: tuple[int, ...], n: int) -> frozenset[Permutation]:
     return frozenset(out)
 
 
-def check_lem5_6(n: int, max_len: int = 8) -> list[str]:
+def check_lem5_6(n: int) -> list[str]:
     """slim(s, i) is the unique Bruhat maximum of the deleted-word closure,
-    and that closure is its full principal ideal."""
+    and that closure is its full principal ideal, for every reduced word of
+    every w of length 1 to 8 in S_n."""
     bad = []
     ideals: dict[Permutation, frozenset[Permutation]] = {}
     for w in all_permutations(n):
-        if not 1 <= w.length <= max_len:
+        if not 1 <= w.length <= 8:
             continue
         for rw in enumerate_reduced_words(w):
             for i in range(1, len(rw) + 1):
@@ -292,22 +292,19 @@ def check_lem5_6(n: int, max_len: int = 8) -> list[str]:
     return bad
 
 
-def check_thm5_10(
-    n: int, with_homology: bool = True, cap: int = DEFAULT_DEGREE_CAP
-) -> list[str]:
-    """The concatenated per-run partner realizes singleton rank l(v) - run(v);
-    optionally also checks the forced homology class of the matched complex."""
-    signs = build_sign_assignment(n, cap) if with_homology else None
+def check_thm5_10(n: int, cap: int = DEFAULT_DEGREE_CAP) -> list[str]:
+    """The concatenated per-run partner realizes singleton rank l(v) - run(v),
+    and the matched complex has the forced homology class."""
+    signs = build_sign_assignment(n, cap)
     bad = []
     for v in boolean_permutations(n):
         if v.is_identity():
             continue
         w = optimal_partner(v)
         cert = build_matching(v, w)
-        if not verify_matching(cert):
-            bad.append(
-                f"v={format_permutation(v)}: certificate invalid: {check_matching(cert)}"
-            )
+        problem = check_matching(cert)
+        if problem is not None:
+            bad.append(f"v={format_permutation(v)}: certificate invalid: {problem}")
             continue
         singles = cert.singletons()
         expected = v.length - run_decompose(v).count
@@ -317,10 +314,9 @@ def check_thm5_10(
                 f"{[z.length for z in singles]}, expected one at {expected}"
             )
             continue
-        if signs is not None:
-            report = _matching_homology_report(v, cert, signs)
-            if report is not None:
-                bad.append(f"v={format_permutation(v)}: {report}")
+        report = _matching_homology_report(v, cert, signs)
+        if report is not None:
+            bad.append(f"v={format_permutation(v)}: {report}")
     return bad
 
 
@@ -384,14 +380,13 @@ def _partitions(n: int, largest: int | None = None):
 
 def check_thm7_2(n: int, cap: int = DEFAULT_DEGREE_CAP) -> list[str]:
     """Longest parabolic elements have grade equal to their length."""
-    from .rs_afunction import YoungShape
-
     signs = build_sign_assignment(n, cap)
     bad = []
     for parts in _partitions(n):
-        report = grade_of_parabolic_longest(YoungShape(parts), n, signs)
-        if report.grade != report.w.length:
-            bad.append(f"mu={parts}: grade {report.grade} != {report.w.length}")
+        w = longest_parabolic_element(YoungShape(parts), n)
+        got = grade(w, signs).grade
+        if got != w.length:
+            bad.append(f"mu={parts}: grade {got} != {w.length}")
     return bad
 
 

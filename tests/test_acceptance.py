@@ -147,7 +147,7 @@ def test_criterion_08_orientation_oracle_and_table():
 
 def test_criterion_09_optimal_matchings_and_their_homology():
     for n in (3, 4, 5, 6):
-        assert check_thm5_10(n, with_homology=True) == []
+        assert check_thm5_10(n) == []
     for n in (3, 4, 5):
         assert check_lem4_3(n) == []
         assert check_lem4_4(n) == []
@@ -160,7 +160,7 @@ def test_criterion_10_singleton_rank_bound():
 
 
 def test_criterion_11_slimming():
-    assert check_lem5_6(5, max_len=8) == []
+    assert check_lem5_6(5) == []
     s = (3, 2, 1, 2, 3, 2)
     from boolbruhat.permcore import ReducedWord, is_boolean
     from boolbruhat.runs_matching import slim

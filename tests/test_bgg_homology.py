@@ -1,6 +1,6 @@
 import pytest
 
-from boolbruhat import bgg_homology
+from boolbruhat import verify
 from boolbruhat.bgg_homology import (
     DegreeCapExceededError,
     GradeReport,
@@ -9,7 +9,6 @@ from boolbruhat.bgg_homology import (
     diamond_violations,
     differential_squares_to_zero,
     grade,
-    grade_of_parabolic_longest,
     grade_table,
     grade_table_csv,
     homology_ranks,
@@ -26,7 +25,7 @@ from boolbruhat.permcore import (
     all_permutations,
     boolean_permutations,
 )
-from boolbruhat.rs_afunction import YoungShape, a_function
+from boolbruhat.rs_afunction import YoungShape, a_function, longest_parabolic_element
 from boolbruhat.verify import check_thm7_2
 
 
@@ -49,9 +48,17 @@ def test_hand_built_rank_three_sign_assignment_is_valid():
             (st, w0): 1,
             (ts, w0): 1,
         },
+        all_permutations(3),
     )
     assert diamond_violations(signs) == []
     assert signs.elements == all_permutations(3)
+
+
+def test_sign_assignment_holds_one_object_per_element():
+    signs = build_sign_assignment(4)
+    assert signs.elements == all_permutations(4)
+    own = {id(x) for x in signs.elements}
+    assert all(id(x) in own and id(y) in own for x, y in signs.sign)
 
 
 def test_single_cover_sign_is_the_root_value():
@@ -184,15 +191,15 @@ def test_grade_rejects_a_sign_assignment_of_another_degree():
 
 def test_parabolic_longest_elements_are_perfect():
     signs = build_sign_assignment(4)
-    report = grade_of_parabolic_longest(YoungShape((2, 2)), 4, signs)
-    assert report.w == Permutation((2, 1, 4, 3))
-    assert report.grade == 2
-    assert is_perfect(report.w, signs)
+    w = longest_parabolic_element(YoungShape((2, 2)), 4)
+    assert w == Permutation((2, 1, 4, 3))
+    assert grade(w, signs).grade == 2
+    assert is_perfect(w, signs)
 
 
 def test_thm7_2_check_reports_a_wrong_grade(monkeypatch):
     monkeypatch.setattr(
-        bgg_homology, "grade", lambda w, signs: GradeReport(w, w.length + 1, w)
+        verify, "grade", lambda w, signs: GradeReport(w, w.length + 1, w)
     )
     assert len(check_thm7_2(3)) == 3
 

@@ -83,6 +83,10 @@ def test_grade_table_csv(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert list(rows[0]) == ["w", "length", "a", "grade", "perfect", "witness_u"]
     assert [r["grade"] for r in rows] == ["0", "1", "1", "1", "1", "3"]
+    assert run(capsys, "--format", "csv", "grade", "--all", "3") == (0, out, "")
+    code, out, _ = run(capsys, "--format", "json", "grade", "--all", "3")
+    assert code == 0
+    assert [r["grade"] for r in json.loads(out)] == [0, 1, 1, 1, 1, 3]
 
 
 def test_ork_and_partner(capsys):
@@ -191,6 +195,13 @@ def test_grade_without_arguments_is_a_usage_error(capsys):
         ["verify", "thm2.4", "--n", "3", "--k", "4"],
         ["selfish", "--k", "3", "--universe", "1,2"],
         ["grade", "2,1,3", "--all", "3"],
+        ["grade", "--all", "3", "--rw"],
+        ["grade", "--all", "3", "--rw-degree", "5"],
+        ["ork", "--rw-degree", "5", "5,1,2,3,4"],
+        ["--seed", "5", "verify", "thm2.4", "--n", "3"],
+        ["--format", "json", "ork", "5,1,2,3,4"],
+        ["--format", "csv", "grade", "2,1"],
+        ["--format", "dot", "grade", "2,1"],
     ],
 )
 def test_flags_that_would_be_ignored_are_usage_errors(argv):

@@ -150,3 +150,10 @@ def test_all_permutations_sorted_by_length():
 def test_all_permutations_is_capped():
     with pytest.raises(WordCapExceededError):
         all_permutations(10)
+
+
+def test_every_exported_name_resolves():
+    import boolbruhat
+
+    for name in boolbruhat.__all__:
+        assert hasattr(boolbruhat, name), name

@@ -7,8 +7,8 @@ from boolbruhat.rs_afunction import (
     a_function,
     longest_parabolic_element,
     rs_shape,
-    second_row_equals_runs_check,
 )
+from boolbruhat.runs_matching import run_decompose
 from boolbruhat.verify import check_cor6_7, check_thm6_4
 
 perms = st.integers(2, 7).flatmap(
@@ -77,17 +77,12 @@ def test_second_row_counts_runs_for_boolean_elements():
         for v in boolean_permutations(n):
             if v.is_identity():
                 continue
-            assert second_row_equals_runs_check(v)
+            assert rs_shape(v).part(2) == run_decompose(v).count
 
 
 def test_boolean_sweeps_reach_degree_ten():
     assert check_thm6_4(10) == []
     assert check_cor6_7(10) == []
-
-
-def test_second_row_check_rejects_non_boolean():
-    with pytest.raises(ValueError):
-        second_row_equals_runs_check(Permutation((3, 2, 1)))
 
 
 def test_longest_parabolic_elements():
