@@ -13,6 +13,7 @@ import io
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 
 from .bruhat import (
     BruhatIdeal,
@@ -22,6 +23,8 @@ from .bruhat import (
     principal_ideal,
 )
 from .permcore import (
+    ENUMERATION_CAP,
+    CapExceededError,
     DegreeMismatchError,
     Permutation,
     all_permutations,
@@ -31,13 +34,6 @@ from .permcore import (
 )
 from .boolean_intersect import interval_components
 from .rs_afunction import a_function
-
-DEFAULT_DEGREE_CAP = 7
-
-
-class DegreeCapExceededError(RuntimeError):
-    """Requested degree is above the configured cap."""
-
 
 @dataclass(frozen=True, eq=False)
 class SignAssignment:
@@ -75,20 +71,33 @@ def _sorted_perms(perms) -> list[Permutation]:
     return sorted(perms, key=lambda x: (x.length, x.images))
 
 
-def build_sign_assignment(
-    n: int, cap: int = DEFAULT_DEGREE_CAP, flip_roots: bool = False
-) -> SignAssignment:
+def _cover_count(n: int) -> int:
+    """The number of Bruhat covers of S_n, n! * sum_{d=1}^{n-1} (n-d)/(d+1).
+
+    Swapping the entries at positions i and i+d of w gives an element
+    covering w for exactly 1/(d+1) of all w: among the d+1 entries from i to
+    i+d, the one at i must come next below the one at i+d.
+    """
+    return sum(factorial(n) // (d + 1) * (n - d) for d in range(1, n))
+
+
+def build_sign_assignment(n: int, *, flip_roots: bool = False) -> SignAssignment:
     """Assign +-1 to every cover of S_n, rank by rank; built once per
-    (n, flip_roots), whatever the cap.
+    (n, flip_roots).
 
     Within a rank, the diamond conditions couple the down-edges of each top
     element z through already-fixed lower edges; each coupling component is
     solved by breadth-first parity propagation from its smallest member.
     flip_roots starts every component at -1 instead, producing a second
-    valid assignment for invariance tests.
+    valid assignment for invariance tests. Raises CapExceededError, before
+    enumerating S_n, when S_n has more than ENUMERATION_CAP covers, so
+    n <= 8 is served.
     """
-    if n > cap:
-        raise DegreeCapExceededError(f"degree {n} exceeds cap {cap}")
+    covers = _cover_count(n)
+    if covers > ENUMERATION_CAP:
+        raise CapExceededError(
+            f"S_{n} has {covers} covers, more than the cap {ENUMERATION_CAP}"
+        )
     return _build_sign_assignment(n, flip_roots)
 
 

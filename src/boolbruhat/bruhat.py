@@ -7,19 +7,14 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .permcore import (
+    ENUMERATION_CAP,
+    CapExceededError,
     DegreeMismatchError,
     Permutation,
     canonical_reduced_word,
     format_permutation,
     format_reduced_word,
 )
-
-DEFAULT_IDEAL_CAP = 2 * 10**6
-
-
-class IdealCapExceededError(RuntimeError):
-    """Ideal enumeration exceeded the configured element cap."""
-
 
 @dataclass(frozen=True)
 class RunWord:
@@ -105,41 +100,43 @@ def down_covers(w: Permutation) -> frozenset[Permutation]:
     return frozenset(out)
 
 
-def principal_ideal(w: Permutation, cap: int = DEFAULT_IDEAL_CAP) -> BruhatIdeal:
+def principal_ideal(w: Permutation) -> BruhatIdeal:
     """The explicit principal order ideal B(w), walked down from w.
 
     Each element is expanded once, so each cover pair (x, y) met on the way
-    is recorded once. Not cached: a caller that reuses an ideal holds it.
+    is recorded once, with the first object met for x. Not cached: a caller
+    that reuses an ideal holds it. Raises CapExceededError above
+    ENUMERATION_CAP elements.
     """
-    seen = {w}
+    seen = {w: w}
     covers = []
     frontier = [w]
     while frontier:
         nxt = []
         for y in frontier:
             for x in down_covers(y):
-                covers.append((x, y))
-                if x not in seen:
-                    seen.add(x)
-                    if len(seen) > cap:
-                        raise IdealCapExceededError(
-                            f"ideal of {format_permutation(w)} exceeds cap {cap}"
+                own = seen.get(x)
+                if own is None:
+                    own = seen[x] = x
+                    if len(seen) > ENUMERATION_CAP:
+                        raise CapExceededError(
+                            f"ideal of {format_permutation(w)} has more "
+                            f"elements than the cap {ENUMERATION_CAP}"
                         )
                     nxt.append(x)
+                covers.append((own, y))
         frontier = nxt
     covers.sort(key=lambda p: (p[0].length, p[0].images, p[1].images))
     return BruhatIdeal(w.n, frozenset(seen), tuple(covers))
 
 
-def intersect_ideals(
-    v: Permutation, w: Permutation, cap: int = DEFAULT_IDEAL_CAP
-) -> BruhatIdeal:
+def intersect_ideals(v: Permutation, w: Permutation) -> BruhatIdeal:
     """B(v) /\\ B(w): the principal ideal of the shorter one, cut down below
     the longer one."""
     if v.n != w.n:
         raise DegreeMismatchError(f"degrees {v.n} and {w.n} differ")
     small, big = (v, w) if v.length <= w.length else (w, v)
-    return principal_ideal(small, cap).below(big)
+    return principal_ideal(small).below(big)
 
 
 def maximal_elements(ideal: BruhatIdeal) -> list[Permutation]:

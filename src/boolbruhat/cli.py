@@ -7,12 +7,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .bgg_homology import (
-    DEFAULT_DEGREE_CAP,
-    DegreeCapExceededError,
     build_sign_assignment,
     grade,
     grade_report_json,
@@ -21,15 +18,13 @@ from .bgg_homology import (
 )
 from .boolean_intersect import intersection_maximal_closed_form, maximal_selfish
 from .bruhat import (
-    DEFAULT_IDEAL_CAP,
-    IdealCapExceededError,
     ideal_to_dot,
     ideal_to_json,
     intersect_ideals,
     maximal_elements,
 )
 from .permcore import (
-    WordCapExceededError,
+    CapExceededError,
     canonical_reduced_word,
     descents,
     format_permutation,
@@ -48,12 +43,7 @@ from .runs_matching import (
     optimal_rank,
     run_decompose,
 )
-from .verify import (
-    DEGREE_CAPPED_CHECKS,
-    K_PARAM_CHECKS,
-    SAMPLING_CHECKS,
-    THEOREM_CHECKS,
-)
+from .verify import K_PARAM_CHECKS, SAMPLING_CHECKS, THEOREM_CHECKS
 
 
 # the formats other than text that each command prints; "grade --all" is the
@@ -68,15 +58,9 @@ FORMATS = {
 }
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    return int(raw) if raw else default
-
-
 def _read_element(args, text: str):
-    """The degree cap only guards sign-assignment construction; parsing
-    itself accepts any degree so purely combinatorial commands can run on
-    large examples."""
+    """Parsing accepts any degree, so purely combinatorial commands run on
+    large examples; only the enumerations are capped."""
     if getattr(args, "rw", False):
         degree = args.rw_degree
         if degree is None:
@@ -110,16 +94,18 @@ def cmd_intersect(args) -> int:
     v = _read_element(args, args.v)
     w = _read_element(args, args.w)
     mode = args.mode
-    closed = enumerated = None
-    if mode in ("closed-form", "both"):
+    closed = enumerated = ideal = None
+    if mode != "closed-form" or args.fmt == "dot":
+        ideal = intersect_ideals(v, w)
+    if mode != "enumerate":
         closed = intersection_maximal_closed_form(v, w)
-    if mode in ("enumerate", "both"):
-        enumerated = maximal_elements(intersect_ideals(v, w, args.ideal_cap))
+    if mode != "closed-form":
+        enumerated = maximal_elements(ideal)
     chosen = closed if closed is not None else enumerated
     if args.fmt == "json":
         print(json.dumps({"maximal": [format_permutation(x) for x in chosen]}, indent=2))
     elif args.fmt == "dot":
-        print(ideal_to_dot(intersect_ideals(v, w, args.ideal_cap)))
+        print(ideal_to_dot(ideal))
     else:
         for x in chosen:
             print(f"{format_permutation(x)}  [{format_reduced_word(canonical_reduced_word(x))}]")
@@ -132,14 +118,14 @@ def cmd_intersect(args) -> int:
 def cmd_grade(args) -> int:
     if args.all is not None:
         n = args.all
-        rows = grade_table(n, build_sign_assignment(n, args.degree_cap))
+        rows = grade_table(n, build_sign_assignment(n))
         if args.fmt == "json":
             print(json.dumps(rows, indent=2))
         else:
             print(grade_table_csv(rows), end="")
         return 0
     w = _read_element(args, args.w)
-    report = grade(w, build_sign_assignment(w.n, args.degree_cap))
+    report = grade(w, build_sign_assignment(w.n))
     if args.fmt == "json":
         print(grade_report_json(report))
     else:
@@ -202,8 +188,6 @@ def cmd_verify(args) -> int:
         kwargs["sample"] = args.sample
     if args.seed is not None:
         kwargs["seed"] = args.seed
-    if args.theorem in DEGREE_CAPPED_CHECKS:
-        kwargs["cap"] = args.degree_cap
     bad = check(first, **kwargs)
     if bad:
         print(f"FAIL {args.theorem}: {len(bad)} counterexample(s)")
@@ -218,13 +202,13 @@ def cmd_export(args) -> int:
     v = _read_element(args, args.v)
     w = _read_element(args, args.w)
     if args.matched:
-        cert = build_matching(v, w, args.ideal_cap)
+        cert = build_matching(v, w)
         if args.fmt == "json":
             print(matching_to_json(cert))
         else:
             print(matching_to_dot(cert))
         return 0
-    ideal = intersect_ideals(v, w, args.ideal_cap)
+    ideal = intersect_ideals(v, w)
     if args.fmt == "json":
         print(ideal_to_json(ideal))
     else:
@@ -254,16 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
     )
     parser.add_argument("--seed", type=int, help="seed for verify --sample (default 0)")
-    parser.add_argument(
-        "--degree-cap",
-        type=int,
-        default=_env_int("BOOLBRUHAT_DEGREE_CAP", DEFAULT_DEGREE_CAP),
-    )
-    parser.add_argument(
-        "--ideal-cap",
-        type=int,
-        default=_env_int("BOOLBRUHAT_IDEAL_CAP", DEFAULT_IDEAL_CAP),
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("boolean", help="booleanness report for one permutation")
@@ -364,12 +338,7 @@ def main(argv=None) -> int:
             parser.error(f"--sample applies only to {', '.join(sorted(SAMPLING_CHECKS))}")
     try:
         return args.func(args)
-    except (
-        DegreeCapExceededError,
-        IdealCapExceededError,
-        WordCapExceededError,
-        ValueError,
-    ) as exc:
+    except (CapExceededError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

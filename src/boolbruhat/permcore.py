@@ -10,17 +10,20 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator, Literal
 
-DEFAULT_WORD_LENGTH_GUARD = 16
-DEFAULT_WORD_COUNT_CAP = 10**6
+# The one size guard: no enumeration (reduced words, boolean elements, all of
+# S_n, a principal ideal, the covers of a sign assignment) holds more items.
+ENUMERATION_CAP = 10**6
+# reduced words are enumerated only for elements of at most this length
+WORD_LENGTH_GUARD = 16
 
 
 class DegreeMismatchError(ValueError):
     """Operands live in symmetric groups of different degrees."""
 
 
-class WordCapExceededError(RuntimeError):
-    """An enumeration (reduced words, boolean elements, all of S_n) exceeded
-    the configured guard or cap."""
+class CapExceededError(RuntimeError):
+    """An enumeration would hold more than ENUMERATION_CAP items, or reduced
+    words were asked for above WORD_LENGTH_GUARD."""
 
 
 class NotReducedError(ValueError):
@@ -178,25 +181,23 @@ def _word_iter(w: Permutation) -> Iterator[tuple[int, ...]]:
             yield (i,) + rest
 
 
-def enumerate_reduced_words(
-    w: Permutation,
-    cap: int = DEFAULT_WORD_COUNT_CAP,
-    length_guard: int = DEFAULT_WORD_LENGTH_GUARD,
-) -> frozenset[ReducedWord]:
+def enumerate_reduced_words(w: Permutation) -> frozenset[ReducedWord]:
     """All reduced words of w, via descent recursion.
 
-    Raises WordCapExceededError if the length guard or count cap is hit;
-    never truncates silently.
+    Raises CapExceededError above WORD_LENGTH_GUARD or ENUMERATION_CAP
+    words; never truncates silently.
     """
-    if w.length > length_guard:
-        raise WordCapExceededError(
-            f"length {w.length} exceeds enumeration guard {length_guard}"
+    if w.length > WORD_LENGTH_GUARD:
+        raise CapExceededError(
+            f"length {w.length} exceeds enumeration guard {WORD_LENGTH_GUARD}"
         )
     words = []
     for letters in _word_iter(w):
         words.append(letters)
-        if len(words) > cap:
-            raise WordCapExceededError(f"more than {cap} reduced words")
+        if len(words) > ENUMERATION_CAP:
+            raise CapExceededError(
+                f"more reduced words than the cap {ENUMERATION_CAP}"
+            )
     return frozenset(ReducedWord(letters, w.n) for letters in words)
 
 
@@ -243,11 +244,14 @@ def is_boolean_by_patterns(w: Permutation) -> bool:
     )
 
 
-def is_boolean_by_words(w: Permutation, cap: int = DEFAULT_WORD_COUNT_CAP) -> bool:
-    """Oracle: booleanness as absence of repeated letters in reduced words."""
-    return all(
-        len(set(rw.letters)) == len(rw.letters) for rw in enumerate_reduced_words(w, cap)
-    )
+def is_boolean_by_words(w: Permutation) -> bool:
+    """Oracle: booleanness as absence of repeated letters in reduced words.
+
+    All reduced words of w have the same length and the same letter set, so
+    the lexicographically smallest one decides.
+    """
+    letters = canonical_reduced_word(w).letters
+    return len(set(letters)) == len(letters)
 
 
 def parse_permutation(text: str) -> Permutation:
@@ -278,17 +282,17 @@ def format_reduced_word(s: ReducedWord) -> str:
 def all_permutations(n: int) -> list[Permutation]:
     """All of S_n, sorted by (length, one-line notation).
 
-    Raises WordCapExceededError when n! exceeds DEFAULT_WORD_COUNT_CAP, so
-    n <= 9 is served.
+    Raises CapExceededError when n! exceeds ENUMERATION_CAP, so n <= 9 is
+    served.
     """
     from itertools import permutations as _perms
 
     count = 1
     for k in range(2, n + 1):
         count *= k
-        if count > DEFAULT_WORD_COUNT_CAP:
-            raise WordCapExceededError(
-                f"S_{n} has {n}! elements, more than the cap {DEFAULT_WORD_COUNT_CAP}"
+        if count > ENUMERATION_CAP:
+            raise CapExceededError(
+                f"S_{n} has {n}! elements, more than the cap {ENUMERATION_CAP}"
             )
     out = [Permutation(p) for p in _perms(range(1, n + 1))]
     out.sort(key=lambda w: (w.length, w.images))
@@ -297,13 +301,13 @@ def all_permutations(n: int) -> list[Permutation]:
 
 def _capped_boolean_count(n: int) -> int:
     """F_{2n-1}, the number of boolean elements of S_n; raises
-    WordCapExceededError when it exceeds DEFAULT_WORD_COUNT_CAP."""
+    CapExceededError when it exceeds ENUMERATION_CAP."""
     a, b = 0, 1
     for _ in range(2 * n - 2):
         a, b = b, a + b
-    if b > DEFAULT_WORD_COUNT_CAP:
-        raise WordCapExceededError(
-            f"S_{n} has {b} boolean elements, more than the cap {DEFAULT_WORD_COUNT_CAP}"
+    if b > ENUMERATION_CAP:
+        raise CapExceededError(
+            f"S_{n} has {b} boolean elements, more than the cap {ENUMERATION_CAP}"
         )
     return b
 
@@ -315,7 +319,7 @@ def boolean_permutations(n: int) -> list[Permutation]:
     are added in the order 1..n-1; sigma_i commutes with every earlier letter
     but sigma_{i-1}, so a word gets i appended, or also prepended when i-1 is
     in it, and each element arises from exactly one word. Raises
-    WordCapExceededError when S_n has more than DEFAULT_WORD_COUNT_CAP of them.
+    CapExceededError when S_n has more than ENUMERATION_CAP of them.
     """
     _capped_boolean_count(n)
     words: list[tuple[int, ...]] = [()]

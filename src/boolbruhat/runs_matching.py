@@ -6,7 +6,6 @@ import json
 from dataclasses import dataclass
 
 from .bruhat import (
-    DEFAULT_IDEAL_CAP,
     BruhatIdeal,
     RunWord,
     bruhat_leq,
@@ -202,9 +201,7 @@ def _match_family(family: frozenset[frozenset[int]]) -> list[tuple]:
     return lifted + pairs
 
 
-def build_matching(
-    v: Permutation, w: Permutation, cap: int = DEFAULT_IDEAL_CAP
-) -> MatchingCertificate:
+def build_matching(v: Permutation, w: Permutation) -> MatchingCertificate:
     """A perfect or almost perfect matching of B(v) /\\ B(w).
 
     Matches on the largest common support letter and recurses on the coideal
@@ -213,7 +210,7 @@ def build_matching(
     """
     if not is_boolean(v):
         raise ValueError("build_matching requires boolean v")
-    ideal = intersect_ideals(v, w, cap)
+    ideal = intersect_ideals(v, w)
     by_support = {support(x): x for x in ideal.elements}
     family = frozenset(by_support)
     steps: list[Step] = []

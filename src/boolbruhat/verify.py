@@ -12,7 +12,6 @@ import random
 from itertools import combinations
 
 from .bgg_homology import (
-    DEFAULT_DEGREE_CAP,
     SignAssignment,
     build_complex,
     build_sign_assignment,
@@ -197,10 +196,10 @@ def _matching_homology_report(
     return None
 
 
-def _matching_sweep(n: int, cap: int, perfect: bool) -> list[str]:
+def _matching_sweep(n: int, perfect: bool) -> list[str]:
     """Homology reports for every (boolean v, w) pair of S_n whose matching
     is perfect (perfect=True) or almost perfect (perfect=False)."""
-    signs = build_sign_assignment(n, cap)
+    signs = build_sign_assignment(n)
     everyone = all_permutations(n)
     bad = []
     for v in boolean_permutations(n):
@@ -216,15 +215,15 @@ def _matching_sweep(n: int, cap: int, perfect: bool) -> list[str]:
     return bad
 
 
-def check_lem4_3(n: int, cap: int = DEFAULT_DEGREE_CAP) -> list[str]:
+def check_lem4_3(n: int) -> list[str]:
     """Perfectly matched intersections give exact restricted complexes."""
-    return _matching_sweep(n, cap, perfect=True)
+    return _matching_sweep(n, perfect=True)
 
 
-def check_lem4_4(n: int, cap: int = DEFAULT_DEGREE_CAP) -> list[str]:
+def check_lem4_4(n: int) -> list[str]:
     """Almost perfectly matched intersections have one 1-dimensional homology
     class at the singleton's position."""
-    return _matching_sweep(n, cap, perfect=False)
+    return _matching_sweep(n, perfect=False)
 
 
 def check_prop5_8(n: int) -> list[str]:
@@ -292,10 +291,10 @@ def check_lem5_6(n: int) -> list[str]:
     return bad
 
 
-def check_thm5_10(n: int, cap: int = DEFAULT_DEGREE_CAP) -> list[str]:
+def check_thm5_10(n: int) -> list[str]:
     """The concatenated per-run partner realizes singleton rank l(v) - run(v),
     and the matched complex has the forced homology class."""
-    signs = build_sign_assignment(n, cap)
+    signs = build_sign_assignment(n)
     bad = []
     for v in boolean_permutations(n):
         if v.is_identity():
@@ -345,11 +344,9 @@ def check_cor6_7(n: int) -> list[str]:
     return bad
 
 
-def check_thm6_8(
-    n: int, sample: int | None = None, seed: int = 0, cap: int = DEFAULT_DEGREE_CAP
-) -> list[str]:
+def check_thm6_8(n: int, sample: int | None = None, seed: int = 0) -> list[str]:
     """Grade equals the a-function on boolean permutations."""
-    signs = build_sign_assignment(n, cap)
+    signs = build_sign_assignment(n)
     booleans = boolean_permutations(n)
     if sample is not None:
         rng = random.Random(seed)
@@ -378,9 +375,9 @@ def _partitions(n: int, largest: int | None = None):
             yield (first,) + rest
 
 
-def check_thm7_2(n: int, cap: int = DEFAULT_DEGREE_CAP) -> list[str]:
+def check_thm7_2(n: int) -> list[str]:
     """Longest parabolic elements have grade equal to their length."""
-    signs = build_sign_assignment(n, cap)
+    signs = build_sign_assignment(n)
     bad = []
     for parts in _partitions(n):
         w = longest_parabolic_element(YoungShape(parts), n)
@@ -390,9 +387,9 @@ def check_thm7_2(n: int, cap: int = DEFAULT_DEGREE_CAP) -> list[str]:
     return bad
 
 
-def check_thm7_3(n: int, cap: int = DEFAULT_DEGREE_CAP) -> list[str]:
+def check_thm7_3(n: int) -> list[str]:
     """Perfection is exactly being a longest parabolic element."""
-    signs = build_sign_assignment(n, cap)
+    signs = build_sign_assignment(n)
     bad = []
     for w in all_permutations(n):
         homological = is_perfect(w, signs)
@@ -426,5 +423,3 @@ THEOREM_CHECKS = {
 # checks whose first argument is a letter-range bound rather than a degree
 K_PARAM_CHECKS = {"prop3.3"}
 SAMPLING_CHECKS = {"cor3.6", "thm6.8"}
-# checks that build a sign assignment, and so take the degree cap
-DEGREE_CAPPED_CHECKS = {"lem4.3", "lem4.4", "thm5.10", "thm6.8", "thm7.2", "thm7.3"}

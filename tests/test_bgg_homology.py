@@ -1,10 +1,10 @@
 import pytest
 
-from boolbruhat import verify
+from boolbruhat import bgg_homology, verify
 from boolbruhat.bgg_homology import (
-    DegreeCapExceededError,
     GradeReport,
     SignAssignment,
+    _cover_count,
     build_sign_assignment,
     diamond_violations,
     differential_squares_to_zero,
@@ -20,6 +20,7 @@ from boolbruhat.bgg_homology import (
 )
 from boolbruhat.bruhat import bruhat_leq
 from boolbruhat.permcore import (
+    CapExceededError,
     DegreeMismatchError,
     Permutation,
     all_permutations,
@@ -74,18 +75,30 @@ def test_generated_assignment_has_no_diamond_violations(n):
     assert diamond_violations(build_sign_assignment(n)) == []
 
 
-def test_degree_cap():
-    with pytest.raises(DegreeCapExceededError):
-        build_sign_assignment(8)
+def test_cover_count_matches_the_built_assignment():
+    for n in range(2, 8):
+        assert _cover_count(n) == len(build_sign_assignment(n).sign), n
 
 
-def test_sign_assignment_is_built_once_per_degree_and_root_choice():
+def test_degree_cap(monkeypatch):
+    def unreachable(n):
+        raise AssertionError(f"S_{n} enumerated before the cap check")
+
+    monkeypatch.setattr(bgg_homology, "all_permutations", unreachable)
+    with pytest.raises(CapExceededError, match="3733920 covers"):
+        build_sign_assignment(9)
+
+
+def test_sign_assignment_is_built_once_per_degree_and_root_choice(monkeypatch):
     first = build_sign_assignment(3)
-    assert build_sign_assignment(3, 7) is first
     assert build_sign_assignment(3, flip_roots=False) is first
+    with pytest.raises(TypeError):
+        build_sign_assignment(3, 7)
     build_sign_assignment(4)
-    with pytest.raises(DegreeCapExceededError):
-        build_sign_assignment(4, cap=3)
+    # S_4 has 58 covers; the cap is checked even for a cached assignment
+    monkeypatch.setattr(bgg_homology, "ENUMERATION_CAP", 57)
+    with pytest.raises(CapExceededError):
+        build_sign_assignment(4)
 
 
 def test_integer_rank_examples():

@@ -3,8 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from boolbruhat import bruhat
 from boolbruhat.bruhat import (
-    IdealCapExceededError,
     RunWord,
     bruhat_leq,
     down_covers,
@@ -16,6 +16,7 @@ from boolbruhat.bruhat import (
     run_word_leq,
 )
 from boolbruhat.permcore import (
+    CapExceededError,
     Permutation,
     all_permutations,
     boolean_permutations,
@@ -65,10 +66,11 @@ def test_principal_ideal_of_boolean_is_hypercube():
             assert len(below) == x.length
 
 
-def test_principal_ideal_cap():
+def test_principal_ideal_cap(monkeypatch):
     w0 = Permutation(tuple(range(6, 0, -1)))
-    with pytest.raises(IdealCapExceededError):
-        principal_ideal(w0, cap=10)
+    monkeypatch.setattr(bruhat, "ENUMERATION_CAP", 10)
+    with pytest.raises(CapExceededError):
+        principal_ideal(w0)
 
 
 def test_intersection_covers_match_ambient_covers():
@@ -85,6 +87,9 @@ def test_intersection_covers_match_ambient_covers():
     elems = all_permutations(4)
     for w in elems:
         below_w = principal_ideal(w)
+        # one object per element: every cover member is one of the elements
+        own = {id(x) for x in below_w.elements}
+        assert all(id(x) in own and id(y) in own for x, y in below_w.covers)
         for u in elems:
             part = below_w.below(u)
             assert part.elements == {

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import boolbruhat
 from boolbruhat.cli import main
 
 
@@ -157,15 +162,29 @@ def test_invalid_permutation_exits_two(capsys):
 
 
 def test_degree_cap_exits_two(capsys):
-    code, _, err = run(capsys, "--degree-cap", "4", "grade", "2,1,4,3,5")
-    assert code == 2
-    assert "exceeds cap" in err
+    for argv in (["grade", "2,1,3,4,5,6,7,8,9"], ["grade", "--all", "9"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "more than the cap" in err
 
 
 def test_verify_honours_the_degree_cap(capsys):
-    code, _, err = run(capsys, "--degree-cap", "3", "verify", "thm7.2", "--n", "4")
+    code, _, err = run(capsys, "verify", "thm6.8", "--n", "9")
     assert code == 2
-    assert "exceeds cap 3" in err
+    assert "more than the cap" in err
+
+
+def test_exit_codes_do_not_depend_on_assert():
+    env = dict(os.environ, PYTHONPATH=str(Path(boolbruhat.__file__).parents[1]))
+    for argv, code in (
+        (["verify", "thm7.2", "--n", "4"], 0),
+        (["grade", "2,1,3,4,5,6,7,8,9"], 2),
+    ):
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "boolbruhat.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == code, (argv, done.stderr)
 
 
 def test_oversized_boolean_sweep_exits_two(capsys):
@@ -202,6 +221,8 @@ def test_grade_without_arguments_is_a_usage_error(capsys):
         ["--format", "json", "ork", "5,1,2,3,4"],
         ["--format", "csv", "grade", "2,1"],
         ["--format", "dot", "grade", "2,1"],
+        ["--degree-cap", "8", "rs", "2,1"],
+        ["--ideal-cap", "5", "rs", "2,1"],
     ],
 )
 def test_flags_that_would_be_ignored_are_usage_errors(argv):

@@ -3,12 +3,13 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from boolbruhat import permcore
 from boolbruhat.permcore import (
     DegreeMismatchError,
     NotReducedError,
     Permutation,
     ReducedWord,
-    WordCapExceededError,
+    CapExceededError,
     _capped_boolean_count,
     all_permutations,
     boolean_permutations,
@@ -25,6 +26,7 @@ from boolbruhat.permcore import (
     pattern_contains,
     support,
 )
+from boolbruhat.verify import check_thm2_4
 
 perms = st.integers(2, 6).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(Permutation)
@@ -83,10 +85,14 @@ def test_canonical_word_is_lex_smallest():
         assert canonical_reduced_word(w).letters == words[0]
 
 
-def test_enumeration_guard_raises():
-    w = Permutation(tuple(range(7, 0, -1)))
-    with pytest.raises(WordCapExceededError):
-        enumerate_reduced_words(w, length_guard=10)
+def test_enumeration_guard_raises(monkeypatch):
+    with pytest.raises(CapExceededError, match="guard"):
+        enumerate_reduced_words(Permutation(tuple(range(7, 0, -1))))
+    w0 = Permutation((4, 3, 2, 1))
+    assert len(enumerate_reduced_words(w0)) == 16
+    monkeypatch.setattr(permcore, "ENUMERATION_CAP", 15)
+    with pytest.raises(CapExceededError, match="reduced words"):
+        enumerate_reduced_words(w0)
 
 
 def test_descents_both_sides():
@@ -125,11 +131,17 @@ def test_boolean_generator_matches_the_filter():
     for n in range(1, 9):
         oracle = [w for w in all_permutations(n) if is_boolean(w)]
         assert boolean_permutations(n) == oracle, n
+    for w in all_permutations(5):
+        every_word_distinct = all(
+            len(set(rw.letters)) == len(rw.letters) for rw in enumerate_reduced_words(w)
+        )
+        assert is_boolean_by_words(w) == every_word_distinct
+    assert check_thm2_4(7) == []
 
 
 def test_boolean_enumeration_is_capped():
     assert _capped_boolean_count(15) == fibonacci(29)
-    with pytest.raises(WordCapExceededError):
+    with pytest.raises(CapExceededError):
         boolean_permutations(16)
 
 
@@ -148,7 +160,7 @@ def test_all_permutations_sorted_by_length():
 
 
 def test_all_permutations_is_capped():
-    with pytest.raises(WordCapExceededError):
+    with pytest.raises(CapExceededError):
         all_permutations(10)
 
 
