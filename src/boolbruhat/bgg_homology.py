@@ -11,24 +11,18 @@ from __future__ import annotations
 import csv
 import io
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
-from .bruhat import (
-    BruhatIdeal,
-    bruhat_leq,
-    down_covers,
-    intersect_ideals,
-    principal_ideal,
-)
+from .bruhat import BruhatIdeal, down_covers, intersect_ideals
 from .permcore import (
     ENUMERATION_CAP,
     CapExceededError,
     DegreeMismatchError,
     Permutation,
     all_permutations,
-    descents,
     format_permutation,
     support,
 )
@@ -39,11 +33,14 @@ from .rs_afunction import a_function
 class SignAssignment:
     """A map from cover pairs (x, y), y covering x, to {+1, -1} satisfying
     the diamond condition on every length-2 interval of S_n, with elements,
-    all of S_n in (length, one-line) order, whose objects make up the keys."""
+    all of S_n in (length, one-line) order, whose objects make up the keys,
+    and down, where down[k] is the sorted indices into elements of the
+    down-covers of elements[k]."""
 
     degree: int
     sign: dict[tuple[Permutation, Permutation], int]
     elements: list[Permutation]
+    down: list[tuple[int, ...]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,10 +62,6 @@ class GradeReport:
     w: Permutation
     grade: int
     witness_u: Permutation
-
-
-def _sorted_perms(perms) -> list[Permutation]:
-    return sorted(perms, key=lambda x: (x.length, x.images))
 
 
 def _cover_count(n: int) -> int:
@@ -105,21 +98,22 @@ def build_sign_assignment(n: int, *, flip_roots: bool = False) -> SignAssignment
 def _build_sign_assignment(n: int, flip_roots: bool) -> SignAssignment:
     root = -1 if flip_roots else 1
     elements = all_permutations(n)
+    down = _down_indices(elements)
     sign: dict[tuple[Permutation, Permutation], int] = {}
-    for z, down, diamonds in _diamonds(elements):
-        constraints: dict[Permutation, list[tuple[Permutation, int]]] = {
-            y: [] for y in down
-        }
-        for y1, y2, x in diamonds:
-            parity = -sign[(x, y1)] * sign[(x, y2)]
-            constraints[y1].append((y2, parity))
-            constraints[y2].append((y1, parity))
-        value: dict[Permutation, int] = {}
-        for y in down:
-            if y in value:
+    for k, diamonds in _diamonds(down):
+        z = elements[k]
+        constraints: dict[int, list[tuple[int, int]]] = {j: [] for j in down[k]}
+        for j1, j2, i in diamonds:
+            x = elements[i]
+            parity = -sign[(x, elements[j1])] * sign[(x, elements[j2])]
+            constraints[j1].append((j2, parity))
+            constraints[j2].append((j1, parity))
+        value: dict[int, int] = {}
+        for j in down[k]:
+            if j in value:
                 continue
-            value[y] = root
-            queue = [y]
+            value[j] = root
+            queue = [j]
             while queue:
                 cur = queue.pop()
                 for other, parity in constraints[cur]:
@@ -131,38 +125,44 @@ def _build_sign_assignment(n: int, flip_roots: bool) -> SignAssignment:
                         raise AssertionError(
                             f"inconsistent diamond system below {z!r}"
                         )
-        for y in down:
-            sign[(y, z)] = value[y]
-    return SignAssignment(n, sign, elements)
+        for j in down[k]:
+            sign[(elements[j], z)] = value[j]
+    return SignAssignment(n, sign, elements, down)
 
 
-def _diamonds(elements: list[Permutation]):
-    """Each z of elements, all of S_n in (length, one-line) order, with its
-    down-covers in that order and the diamonds (y1, y2, x) below it: y1
-    before y2, both covering x.
+def _down_indices(elements: list[Permutation]) -> list[tuple[int, ...]]:
+    """For each element of elements, all of S_n in (length, one-line) order,
+    the sorted indices of its down-covers: one down_covers call each.
 
-    Every element comes after its down-covers, so down_covers runs once per
-    element; each cover it returns is swapped for the object of elements.
+    Index order is (length, one-line) order, and the index objects are
+    shared between the tuples.
     """
-    own = {z: z for z in elements}
-    down_of: dict[Permutation, list[Permutation]] = {}
-    for z in elements:
-        down = down_of[z] = _sorted_perms(own[y] for y in down_covers(z))
-        yield z, down, [
-            (y1, y2, x)
-            for a, y1 in enumerate(down)
-            for y2 in down[a + 1 :]
-            for x in down_of[y1]
-            if x in down_of[y2]
+    index = {z: k for k, z in enumerate(elements)}
+    return [tuple(sorted(index[y] for y in down_covers(z))) for z in elements]
+
+
+def _diamonds(down: list[tuple[int, ...]]):
+    """Each index k with the diamonds (j1, j2, i) below it: j1 < j2 both
+    covered by k and both covering i."""
+    for k, dk in enumerate(down):
+        yield k, [
+            (j1, j2, i)
+            for a, j1 in enumerate(dk)
+            for j2 in dk[a + 1 :]
+            for i in down[j1]
+            if i in down[j2]
         ]
 
 
 def diamond_violations(signs: SignAssignment) -> list[tuple[Permutation, Permutation]]:
-    """Length-2 intervals [x, z] whose four edge signs do not multiply to -1."""
-    sign = signs.sign
+    """Length-2 intervals [x, z] whose four edge signs do not multiply to -1,
+    over the covers recorded in signs.down."""
+    sign, elements = signs.sign, signs.elements
     bad = []
-    for z, _down, diamonds in _diamonds(signs.elements):
-        for y1, y2, x in diamonds:
+    for k, diamonds in _diamonds(signs.down):
+        z = elements[k]
+        for j1, j2, i in diamonds:
+            x, y1, y2 = elements[i], elements[j1], elements[j2]
             if sign[(x, y1)] * sign[(y1, z)] * sign[(x, y2)] * sign[(y2, z)] != -1:
                 bad.append((x, z))
     return bad
@@ -267,12 +267,19 @@ def grade(
     w: Permutation, signs: SignAssignment, record: dict | None = None
 ) -> GradeReport:
     """Minimum over u of the first nonzero homology position of the complex
-    on B(w) /\\ B(u).
+    on B(w) /\\ B(u), with the first u in (length, one-line) order that
+    reaches it as witness.
 
     u comparable with w is skipped (exact complex) except the identity, which
     supplies the l(w) baseline; u sharing a left or right descent with w is
-    skipped for the same reason. Every complex is B(w), walked once, cut
-    down below u, so u <= w is membership and w <= u one comparison.
+    skipped for the same reason. Bruhat order is read from signs.down alone:
+    B(w) is walked down from w, each of its elements gets a bit, and one pass
+    over signs.elements, rank by rank, sets mask[u] = own bit | OR of the
+    masks of u's down-covers, which is B(w) /\\ B(u). So u <= w is "u has a
+    bit", w <= u is "w's bit is in mask[u]", and a u whose mask was already
+    seen is skipped, since its complex, and so its position, is the same.
+    record, if given, maps each u whose complex is built to its first
+    nonzero position, when that lies below the bound in force then.
     Raises DegreeMismatchError when signs is not an assignment of S_n for
     the n of w.
     """
@@ -283,25 +290,66 @@ def grade(
     e = Permutation.identity(w.n)
     if w == e:
         return GradeReport(w, 0, e)
-    top = principal_ideal(w)
+    elements, down = signs.elements, signs.down
+    top = bisect_left(
+        elements, (w.length, w.images), key=lambda x: (x.length, x.images)
+    )
+    below_w = _ideal_indices(down, top)
+    bit = {k: b for b, k in enumerate(below_w)}
+    w_bit = 1 << bit[top]
+    wr = [i for i in range(w.n - 1) if w.images[i] > w.images[i + 1]]
+    wl = [
+        i for i in range(1, w.n) if w.images.index(i + 1) < w.images.index(i)
+    ]
     best = w.length
     witness = e
-    wl, wr = descents(w, "left"), descents(w, "right")
-    for u in signs.elements:
+    built: set[int] = set()
+    prev: dict[int, int] = {}
+    cur: dict[int, int] = {}
+    length = 0
+    for k, u in enumerate(elements):
         if best == 1:
             break
-        if u in top.elements:
+        if u.length != length:
+            prev, cur, length = cur, {}, u.length
+        own = bit.get(k)
+        mask = 0 if own is None else 1 << own
+        for j in down[k]:
+            mask |= prev[j]
+        cur[k] = mask
+        if own is not None or mask & w_bit:
             continue
-        if wl & descents(u, "left") or wr & descents(u, "right"):
+        img = u.images
+        if any(img[i] > img[i + 1] for i in wr) or any(
+            img.index(i + 1) < img.index(i) for i in wl
+        ):
             continue
-        if u.length > w.length and bruhat_leq(w, u):
+        if mask in built:
             continue
-        i = _first_nonzero_position(top.below(u), w.length, signs, best)
+        built.add(mask)
+        on = [below_w[b] for b, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
+        part = BruhatIdeal(
+            w.n,
+            frozenset(elements[j] for j in on),
+            tuple((elements[x], elements[y]) for y in on for x in down[y]),
+        )
+        i = _first_nonzero_position(part, w.length, signs, best)
         if i is not None and i < best:
             best, witness = i, u
         if record is not None and i is not None:
             record[u] = i
     return GradeReport(w, best, witness)
+
+
+def _ideal_indices(down: list[tuple[int, ...]], top: int) -> list[int]:
+    """The sorted indices of the elements below index top, walked down
+    through the cover lists down."""
+    seen = {top}
+    frontier = [top]
+    while frontier:
+        frontier = {j for k in frontier for j in down[k]} - seen
+        seen |= frontier
+    return sorted(seen)
 
 
 def is_longest_parabolic_element(w: Permutation) -> bool:

@@ -200,10 +200,9 @@ def _matching_sweep(n: int, perfect: bool) -> list[str]:
     """Homology reports for every (boolean v, w) pair of S_n whose matching
     is perfect (perfect=True) or almost perfect (perfect=False)."""
     signs = build_sign_assignment(n)
-    everyone = all_permutations(n)
     bad = []
     for v in boolean_permutations(n):
-        for w in everyone:
+        for w in signs.elements:
             cert = build_matching(v, w)
             if cert.is_perfect != perfect:
                 continue
@@ -350,8 +349,8 @@ def check_thm6_8(n: int, sample: int | None = None, seed: int = 0) -> list[str]:
     booleans = boolean_permutations(n)
     if sample is not None:
         rng = random.Random(seed)
-        # with replacement, so the requested case count is honored even when
-        # it exceeds the number of boolean elements
+        # sample draws with replacement, so it may exceed the number of
+        # boolean elements; each distinct element drawn is checked once
         booleans = sorted(
             set(rng.choices(booleans, k=sample)),
             key=lambda v: (v.length, v.images),
@@ -391,7 +390,7 @@ def check_thm7_3(n: int) -> list[str]:
     """Perfection is exactly being a longest parabolic element."""
     signs = build_sign_assignment(n)
     bad = []
-    for w in all_permutations(n):
+    for w in signs.elements:
         homological = is_perfect(w, signs)
         combinatorial = is_longest_parabolic_element(w)
         if homological != combinatorial:

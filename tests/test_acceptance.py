@@ -52,10 +52,13 @@ def test_criterion_01_rank_two_grade_table():
 
 
 def test_criterion_02_grade_equals_a_on_boolean_elements():
-    for n in (3, 4, 5):
+    for n in (3, 4, 5, 6, 7):
         assert check_thm6_8(n) == []
     assert check_thm6_8(6, sample=200, seed=0) == []
-    print("PASS criterion 2: grade = a, boolean, exhaustive n<=5 + 200 sampled n=6")
+    print(
+        "PASS criterion 2: grade = a, boolean, exhaustive n<=7 + 200 draws with"
+        " replacement at n=6, each distinct element checked once"
+    )
 
 
 def test_criterion_03_rank_three_mismatches():

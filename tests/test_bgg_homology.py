@@ -1,6 +1,6 @@
 import pytest
 
-from boolbruhat import bgg_homology, verify
+from boolbruhat import bgg_homology, bruhat, verify
 from boolbruhat.bgg_homology import (
     GradeReport,
     SignAssignment,
@@ -18,7 +18,7 @@ from boolbruhat.bgg_homology import (
     is_perfect,
     restricted_complex,
 )
-from boolbruhat.bruhat import bruhat_leq
+from boolbruhat.bruhat import bruhat_leq, down_covers
 from boolbruhat.permcore import (
     CapExceededError,
     DegreeMismatchError,
@@ -50,9 +50,11 @@ def test_hand_built_rank_three_sign_assignment_is_valid():
             (ts, w0): 1,
         },
         all_permutations(3),
+        [(), (0,), (0,), (1, 2), (1, 2), (3, 4)],
     )
     assert diamond_violations(signs) == []
     assert signs.elements == all_permutations(3)
+    assert signs.down == build_sign_assignment(3).down
 
 
 def test_sign_assignment_holds_one_object_per_element():
@@ -60,6 +62,15 @@ def test_sign_assignment_holds_one_object_per_element():
     assert signs.elements == all_permutations(4)
     own = {id(x) for x in signs.elements}
     assert all(id(x) in own and id(y) in own for x, y in signs.sign)
+
+
+def test_down_lists_are_the_sorted_cover_indices():
+    for n in range(2, 6):
+        signs = build_sign_assignment(n)
+        index = {x: k for k, x in enumerate(signs.elements)}
+        assert len(signs.down) == len(signs.elements)
+        for k, x in enumerate(signs.elements):
+            assert signs.down[k] == tuple(sorted(index[y] for y in down_covers(x)))
 
 
 def test_single_cover_sign_is_the_root_value():
@@ -181,18 +192,35 @@ def test_grade_equals_a_value_in_rank_three_except_two_elements():
 
 def test_grade_pruning_matches_an_unpruned_scan():
     def unpruned_grade(w, signs):
-        positions = [
-            -p
-            for u in all_permutations(w.n)
-            for p, h in homology_ranks(restricted_complex(w, u, signs)).items()
-            if h
-        ]
-        return min(positions)
+        """The least nonzero homology position over all u, and the first u
+        in (length, one-line) order that reaches it."""
+        first = {}
+        for u in all_permutations(w.n):
+            ranks = homology_ranks(restricted_complex(w, u, signs))
+            i = min((-p for p, h in ranks.items() if h), default=None)
+            if i is not None:
+                first.setdefault(i, u)
+        best = min(first)
+        return best, first[best]
 
     for n, elems in ((4, all_permutations(4)), (5, boolean_permutations(5))):
         signs = build_sign_assignment(n)
         for w in elems:
-            assert grade(w, signs).grade == unpruned_grade(w, signs), w
+            report = grade(w, signs)
+            assert (report.grade, report.witness_u) == unpruned_grade(w, signs), w
+
+
+def test_grade_reads_bruhat_order_only_from_the_sign_assignment(monkeypatch):
+    signs = build_sign_assignment(4)
+    expected = [grade(w, signs) for w in signs.elements]
+
+    def forbidden(*args):
+        raise AssertionError("grade compared elements outside signs.down")
+
+    for name in ("principal_ideal", "bruhat_leq"):
+        monkeypatch.setattr(bruhat, name, forbidden)
+        monkeypatch.setattr(bgg_homology, name, forbidden, raising=False)
+    assert [grade(w, signs) for w in signs.elements] == expected
 
 
 def test_grade_rejects_a_sign_assignment_of_another_degree():
