@@ -283,6 +283,14 @@ def grade(
     Raises DegreeMismatchError when signs is not an assignment of S_n for
     the n of w.
     """
+    return _grade(w, signs, record, 1)
+
+
+def _grade(
+    w: Permutation, signs: SignAssignment, record: dict | None, enough: int
+) -> GradeReport:
+    """grade, stopping the u-scan once the bound falls to enough or below:
+    the report then holds the first u in scan order that reached it."""
     if signs.degree != w.n:
         raise DegreeMismatchError(
             f"sign assignment of degree {signs.degree} for w in S_{w.n}"
@@ -308,7 +316,7 @@ def grade(
     cur: dict[int, int] = {}
     length = 0
     for k, u in enumerate(elements):
-        if best == 1:
+        if best <= enough:
             break
         if u.length != length:
             prev, cur, length = cur, {}, u.length
@@ -364,8 +372,10 @@ def is_longest_parabolic_element(w: Permutation) -> bool:
 
 
 def is_perfect(w: Permutation, signs: SignAssignment) -> bool:
-    """Grade equals projective dimension, which is l(w)."""
-    return grade(w, signs).grade == w.length
+    """Grade equals projective dimension, which is l(w). The u-scan stops
+    at the first position below l(w), which already decides "not perfect"
+    (and, as in grade, at 1, below which it never looks)."""
+    return _grade(w, signs, None, max(w.length - 1, 1)).grade == w.length
 
 
 def grade_table(n: int, signs: SignAssignment) -> list[dict]:

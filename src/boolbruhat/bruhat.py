@@ -57,10 +57,20 @@ class BruhatIdeal:
     def below(self, u: Permutation) -> BruhatIdeal:
         """The elements x <= u, with the covers whose top is kept.
 
-        The kept set is again an ideal of a graded poset, so its covers are
-        exactly the ambient covers between its elements, in the same order.
+        Elements are visited by decreasing length, and x is kept at once when
+        one of its up-covers in self.covers is kept (x <= y <= u); only an x
+        with no kept up-cover is compared with u by bruhat_leq. The kept set
+        is again an ideal of a graded poset, so its covers are exactly the
+        ambient covers between its elements, in the same order.
         """
-        elements = frozenset(x for x in self.elements if bruhat_leq(x, u))
+        ups: dict[Permutation, list[Permutation]] = {}
+        for x, y in self.covers:
+            ups.setdefault(x, []).append(y)
+        kept: set[Permutation] = set()
+        for x in sorted(self.elements, key=lambda x: x.length, reverse=True):
+            if any(y in kept for y in ups.get(x, ())) or bruhat_leq(x, u):
+                kept.add(x)
+        elements = frozenset(kept)
         covers = tuple(p for p in self.covers if p[1] in elements)
         return BruhatIdeal(self.degree, elements, covers)
 
@@ -84,50 +94,64 @@ def bruhat_leq(u: Permutation, w: Permutation) -> bool:
     return True
 
 
+def _down_images(images: tuple[int, ...]):
+    """The one-line tuples of the elements covered by the permutation with
+    one-line notation images.
+
+    w covers w.(i j) exactly when img[i] > img[j] and no position between
+    them holds a value in (img[j], img[i]); for fixed i the scan over j keeps
+    the largest value below img[i] seen so far, and img[j] qualifies when it
+    lies above that.
+    """
+    n = len(images)
+    for i in range(n - 1):
+        top = images[i]
+        floor = 0
+        for j in range(i + 1, n):
+            v = images[j]
+            if floor < v < top:
+                out = list(images)
+                out[i], out[j] = v, top
+                yield tuple(out)
+                floor = v
+                if v == top - 1:
+                    break
+
+
 def down_covers(w: Permutation) -> frozenset[Permutation]:
     """All x with x covered by w."""
-    out = []
-    img = w.images
-    n = w.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if img[i] > img[j] and not any(
-                img[j] < img[k] < img[i] for k in range(i + 1, j)
-            ):
-                images = list(img)
-                images[i], images[j] = images[j], images[i]
-                out.append(Permutation(images))
-    return frozenset(out)
+    return frozenset(Permutation(t) for t in _down_images(w.images))
 
 
 def principal_ideal(w: Permutation) -> BruhatIdeal:
     """The explicit principal order ideal B(w), walked down from w.
 
-    Each element is expanded once, so each cover pair (x, y) met on the way
-    is recorded once, with the first object met for x. Not cached: a caller
-    that reuses an ideal holds it. Raises CapExceededError above
-    ENUMERATION_CAP elements.
+    The walk runs on one-line tuples: each element is expanded once, and one
+    Permutation is built for each new element, never one per cover. So each
+    cover pair (x, y) met on the way is recorded once, with the first object
+    met for x. Not cached: a caller that reuses an ideal holds it. Raises
+    CapExceededError above ENUMERATION_CAP elements.
     """
-    seen = {w: w}
+    seen = {w.images: w}
     covers = []
     frontier = [w]
     while frontier:
         nxt = []
         for y in frontier:
-            for x in down_covers(y):
-                own = seen.get(x)
+            for t in _down_images(y.images):
+                own = seen.get(t)
                 if own is None:
-                    own = seen[x] = x
+                    own = seen[t] = Permutation(t)
                     if len(seen) > ENUMERATION_CAP:
                         raise CapExceededError(
                             f"ideal of {format_permutation(w)} has more "
                             f"elements than the cap {ENUMERATION_CAP}"
                         )
-                    nxt.append(x)
+                    nxt.append(own)
                 covers.append((own, y))
         frontier = nxt
     covers.sort(key=lambda p: (p[0].length, p[0].images, p[1].images))
-    return BruhatIdeal(w.n, frozenset(seen), tuple(covers))
+    return BruhatIdeal(w.n, frozenset(seen.values()), tuple(covers))
 
 
 def intersect_ideals(v: Permutation, w: Permutation) -> BruhatIdeal:

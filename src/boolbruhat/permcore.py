@@ -41,11 +41,12 @@ class Permutation:
         if n < 1 or sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of [1,{n}]: {images!r}")
         object.__setattr__(self, "images", images)
+        # inversions: for each value, the earlier values above it
         inv = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                if images[i] > images[j]:
-                    inv += 1
+        seen = 0
+        for v in images:
+            inv += (seen >> v).bit_count()
+            seen |= 1 << v
         object.__setattr__(self, "length", inv)
         object.__setattr__(self, "_hash", hash(images))
 

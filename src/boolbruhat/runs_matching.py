@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from .bruhat import (
     BruhatIdeal,
     RunWord,
+    _down_images,
     bruhat_leq,
     ideal_to_dot,
     intersect_ideals,
@@ -227,19 +228,24 @@ def check_matching(cert: MatchingCertificate) -> str | None:
 
     Trusts nothing from the constructor: partition, cover condition, prefix
     coideals, and the singleton count are all re-checked against the ideal.
+    The last check walks the down-covers of each element, found afresh from
+    its one-line notation rather than read from cert.over.covers: every one
+    must be an element (so the ideal is down-closed), and none may be added
+    at an earlier step than the element it lies under. Inside an order
+    ideal x <= y is a chain of covers, so that is exactly "every prefix of
+    steps is a coideal"; the failure reported is at the earliest such step.
     """
     elements = cert.over.elements
     seen: set[Permutation] = set()
-    for step in cert.steps:
-        members = (
-            (step.element,) if isinstance(step, Singleton) else (step.lower, step.upper)
-        )
-        for x in members:
+    step_of: dict[tuple[int, ...], int] = {}
+    for k, step in enumerate(cert.steps):
+        for x in _members(step):
             if x not in elements:
                 return f"step element {format_permutation(x)} outside the ideal"
             if x in seen:
                 return f"element {format_permutation(x)} appears twice"
             seen.add(x)
+            step_of[x.images] = k
     if seen != elements:
         missing = next(iter(elements - seen))
         return f"element {format_permutation(missing)} not covered by any step"
@@ -257,23 +263,29 @@ def check_matching(cert: MatchingCertificate) -> str | None:
     if len(cert.singletons()) > 1:
         return "more than one singleton"
 
-    # Each prefix of steps must be a coideal; since prefixes only grow, it
-    # suffices to compare every newly added element against what is still
-    # outside at that moment.
-    outside = set(elements)
-    for step in cert.steps:
-        added = (
-            (step.element,) if isinstance(step, Singleton) else (step.lower, step.upper)
-        )
-        outside.difference_update(added)
-        for x in added:
-            for y in outside:
-                if x.length < y.length and bruhat_leq(x, y):
+    first = None
+    for k, step in enumerate(cert.steps):
+        for y in _members(step):
+            for t in _down_images(y.images):
+                j = step_of.get(t)
+                if j is None:
                     return (
-                        f"prefix through {type(step).__name__} is not a coideal: "
-                        f"{format_permutation(x)} <= {format_permutation(y)}"
+                        f"element {format_permutation(Permutation(t))} covered "
+                        f"by {format_permutation(y)} is outside the ideal"
                     )
+                if j < k and (first is None or j < first[0]):
+                    first = (j, t, y)
+    if first is not None:
+        j, t, y = first
+        return (
+            f"prefix through {type(cert.steps[j]).__name__} is not a coideal: "
+            f"{format_permutation(Permutation(t))} <= {format_permutation(y)}"
+        )
     return None
+
+
+def _members(step: Step) -> tuple[Permutation, ...]:
+    return (step.element,) if isinstance(step, Singleton) else (step.lower, step.upper)
 
 
 def matching_to_json(cert: MatchingCertificate) -> str:

@@ -78,8 +78,12 @@ def test_criterion_03_rank_three_mismatches():
 def test_criterion_04_parabolic_grades_and_perfection():
     for n in (2, 3, 4, 5):
         assert check_thm7_2(n) == []
+    for n in (2, 3, 4, 5, 6, 7):
         assert check_thm7_3(n) == []
-    print("PASS criterion 4: parabolic grade = length and perfection, n<=5")
+    print(
+        "PASS criterion 4: parabolic grade = length (n<=5) and perfection iff"
+        " longest parabolic (n<=7)"
+    )
 
 
 def test_criterion_05_second_row_counts_runs():

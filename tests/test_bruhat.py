@@ -48,12 +48,13 @@ def test_comparison_matches_subword_oracle(n):
 
 
 def test_down_covers_are_the_elements_one_rank_below():
-    elems = all_permutations(4)
-    for w in elems:
-        expected = {
-            x for x in elems if x.length == w.length - 1 and bruhat_leq(x, w)
-        }
-        assert down_covers(w) == expected
+    for n in (4, 5):
+        elems = all_permutations(n)
+        for w in elems:
+            expected = {
+                x for x in elems if x.length == w.length - 1 and bruhat_leq(x, w)
+            }
+            assert down_covers(w) == expected
 
 
 def test_principal_ideal_of_boolean_is_hypercube():
@@ -96,6 +97,51 @@ def test_intersection_covers_match_ambient_covers():
                 x for x in elems if bruhat_leq(x, w) and bruhat_leq(x, u)
             }
             assert part.covers == intersect_ideals(w, u).covers
+
+
+def test_ideals_and_below_match_brute_force_on_s5():
+    elems = all_permutations(5)
+    leq = {(x, w): bruhat_leq(x, w) for x in elems for w in elems}
+    covered_by = {y: down_covers(y) for y in elems}
+
+    def expected(members):
+        covers = [(x, y) for y in members for x in covered_by[y] if x in members]
+        covers.sort(key=lambda p: (p[0].length, p[0].images, p[1].images))
+        return members, tuple(covers)
+
+    for w in elems:
+        ideal = principal_ideal(w)
+        below_w = {x for x in elems if leq[x, w]}
+        assert (ideal.elements, ideal.covers) == expected(below_w)
+        for u in elems:
+            part = ideal.below(u)
+            both = {x for x in below_w if leq[x, u]}
+            assert (part.elements, part.covers) == expected(both), (w, u)
+
+
+def test_below_compares_only_elements_without_a_kept_up_cover(monkeypatch):
+    calls = []
+    real = bruhat.bruhat_leq
+
+    def counting(x, u):
+        calls.append(x)
+        return real(x, u)
+
+    monkeypatch.setattr(bruhat, "bruhat_leq", counting)
+    elems = all_permutations(4)
+    for w in elems:
+        ideal = principal_ideal(w)
+        for u in elems:
+            calls.clear()
+            part = ideal.below(u)
+            kept_up = {x for x, y in ideal.covers if y in part.elements}
+            assert sorted(calls, key=lambda x: x.images) == sorted(
+                (x for x in ideal.elements if x not in kept_up),
+                key=lambda x: x.images,
+            )
+        calls.clear()
+        ideal.below(w)
+        assert calls == [w]
 
 
 def test_intersection_is_commutative_and_an_ideal():

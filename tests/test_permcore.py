@@ -39,6 +39,20 @@ def test_length_counts_inversions():
     assert Permutation((4, 3, 2, 1)).length == 6
 
 
+def test_length_matches_brute_force_inversion_count_on_s6():
+    for images in itertools.permutations(range(1, 7)):
+        inversions = sum(
+            images[i] > images[j] for i in range(6) for j in range(i + 1, 6)
+        )
+        assert Permutation(images).length == inversions
+
+
+@pytest.mark.parametrize("images", [(1, 1, 3), (0, 1, 2), (2, 3, 4), ()])
+def test_non_permutations_are_rejected(images):
+    with pytest.raises(ValueError):
+        Permutation(images)
+
+
 def test_word_evaluation_is_right_to_left():
     n = 4
     letters = (2, 1, 3)

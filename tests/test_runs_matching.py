@@ -1,9 +1,10 @@
+import random
 from collections import Counter
 
 import pytest
 
 from boolbruhat import verify
-from boolbruhat.bruhat import RunWord, intersect_ideals
+from boolbruhat.bruhat import BruhatIdeal, RunWord, bruhat_leq, intersect_ideals
 from boolbruhat.permcore import (
     Permutation,
     ReducedWord,
@@ -184,6 +185,66 @@ def test_checker_rejects_non_cover_pairs():
         ideal,
     )
     assert "not a cover" in check_matching(really_bogus)
+
+
+def prefixes_are_coideals(cert):
+    """Oracle: compare every element added by a step with every element
+    still outside after it, by bruhat_leq (O(|I|^2) comparisons)."""
+    outside = set(cert.over.elements)
+    for step in cert.steps:
+        added = (
+            (step.element,) if isinstance(step, Singleton) else (step.lower, step.upper)
+        )
+        outside.difference_update(added)
+        for x in added:
+            for y in outside:
+                if x.length < y.length and bruhat_leq(x, y):
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_coideal_check_matches_the_pairwise_oracle(n):
+    rng = random.Random(n)
+    outcomes = Counter()
+    for v in boolean_permutations(n):
+        for _ in range(2):
+            w = Permutation(rng.sample(range(1, n + 1), n))
+            cert = build_matching(v, w)
+            orders = [list(cert.steps)]
+            for _ in range(3):
+                orders.append(rng.sample(cert.steps, len(cert.steps)))
+            if len(cert.steps) > 1:
+                k = rng.randrange(len(cert.steps) - 1)
+                swapped = list(cert.steps)
+                swapped[k], swapped[k + 1] = swapped[k + 1], swapped[k]
+                orders.append(swapped)
+            for steps in orders:
+                shuffled = MatchingCertificate(tuple(steps), cert.over)
+                valid = check_matching(shuffled) is None
+                assert valid == prefixes_are_coideals(shuffled), (v, w, steps)
+                outcomes[valid] += 1
+    assert outcomes[True] and outcomes[False]
+
+
+def test_checker_rejects_an_ideal_that_is_not_down_closed():
+    v = Permutation.from_word((1, 3), 4)
+    cert = build_matching(v, v)
+    assert cert.is_perfect
+    e = Permutation.identity(4)
+    (bottom,) = [s for s in cert.steps if isinstance(s, Pair) and s.lower == e]
+    ideal = cert.over
+    cut = BruhatIdeal(
+        ideal.degree,
+        ideal.elements - {e},
+        tuple(p for p in ideal.covers if e not in p),
+    )
+    steps = tuple(
+        Singleton(s.upper) if s is bottom else s for s in cert.steps
+    )
+    holed = MatchingCertificate(steps, cut)
+    assert prefixes_are_coideals(holed)
+    assert "outside the ideal" in check_matching(holed)
 
 
 def test_certificate_exports():
