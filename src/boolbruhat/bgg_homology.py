@@ -11,12 +11,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
-from .bruhat import BruhatIdeal, down_covers, intersect_ideals
+from .bruhat import _down_images
 from .permcore import (
     ENUMERATION_CAP,
     CapExceededError,
@@ -31,16 +30,18 @@ from .rs_afunction import a_function
 
 @dataclass(frozen=True, eq=False)
 class SignAssignment:
-    """A map from cover pairs (x, y), y covering x, to {+1, -1} satisfying
-    the diamond condition on every length-2 interval of S_n, with elements,
-    all of S_n in (length, one-line) order, whose objects make up the keys,
-    and down, where down[k] is the sorted indices into elements of the
-    down-covers of elements[k]."""
+    """Signs +-1 on the covers of S_n satisfying the diamond condition on
+    every length-2 interval, stored by cover index. elements is all of S_n in
+    (length, one-line) order, index maps each one-line tuple to its position
+    in elements, down[k] is the sorted indices of the down-covers of
+    elements[k], and sign[k] maps each j in down[k] to the sign of the cover
+    elements[j] < elements[k]."""
 
     degree: int
-    sign: dict[tuple[Permutation, Permutation], int]
     elements: list[Permutation]
+    index: dict[tuple[int, ...], int]
     down: list[tuple[int, ...]]
+    sign: list[dict[int, int]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,14 +99,13 @@ def build_sign_assignment(n: int, *, flip_roots: bool = False) -> SignAssignment
 def _build_sign_assignment(n: int, flip_roots: bool) -> SignAssignment:
     root = -1 if flip_roots else 1
     elements = all_permutations(n)
-    down = _down_indices(elements)
-    sign: dict[tuple[Permutation, Permutation], int] = {}
+    index = {x.images: k for k, x in enumerate(elements)}
+    down = [tuple(sorted(index[t] for t in _down_images(x.images))) for x in elements]
+    sign: list[dict[int, int]] = []
     for k, diamonds in _diamonds(down):
-        z = elements[k]
         constraints: dict[int, list[tuple[int, int]]] = {j: [] for j in down[k]}
         for j1, j2, i in diamonds:
-            x = elements[i]
-            parity = -sign[(x, elements[j1])] * sign[(x, elements[j2])]
+            parity = -sign[j1][i] * sign[j2][i]
             constraints[j1].append((j2, parity))
             constraints[j2].append((j1, parity))
         value: dict[int, int] = {}
@@ -123,22 +123,10 @@ def _build_sign_assignment(n: int, flip_roots: bool) -> SignAssignment:
                         queue.append(other)
                     elif value[other] != want:
                         raise AssertionError(
-                            f"inconsistent diamond system below {z!r}"
+                            f"inconsistent diamond system below {elements[k]!r}"
                         )
-        for j in down[k]:
-            sign[(elements[j], z)] = value[j]
-    return SignAssignment(n, sign, elements, down)
-
-
-def _down_indices(elements: list[Permutation]) -> list[tuple[int, ...]]:
-    """For each element of elements, all of S_n in (length, one-line) order,
-    the sorted indices of its down-covers: one down_covers call each.
-
-    Index order is (length, one-line) order, and the index objects are
-    shared between the tuples.
-    """
-    index = {z: k for k, z in enumerate(elements)}
-    return [tuple(sorted(index[y] for y in down_covers(z))) for z in elements]
+        sign.append({j: value[j] for j in down[k]})
+    return SignAssignment(n, elements, index, down, sign)
 
 
 def _diamonds(down: list[tuple[int, ...]]):
@@ -160,35 +148,29 @@ def diamond_violations(signs: SignAssignment) -> list[tuple[Permutation, Permuta
     sign, elements = signs.sign, signs.elements
     bad = []
     for k, diamonds in _diamonds(signs.down):
-        z = elements[k]
         for j1, j2, i in diamonds:
-            x, y1, y2 = elements[i], elements[j1], elements[j2]
-            if sign[(x, y1)] * sign[(y1, z)] * sign[(x, y2)] * sign[(y2, z)] != -1:
-                bad.append((x, z))
+            if sign[j1][i] * sign[k][j1] * sign[j2][i] * sign[k][j2] != -1:
+                bad.append((elements[i], elements[k]))
     return bad
 
 
 def build_complex(
-    ideal: BruhatIdeal, top_length: int, signs: SignAssignment
+    on: list[int], top_length: int, signs: SignAssignment
 ) -> RestrictedComplex:
-    """Chain complex on an ideal, graded by top_length - l(x); each cover
-    (x, y) of the ideal is one entry of the matrix leaving x's position."""
-    basis: list[list[Permutation]] = [[] for _ in range(top_length + 1)]
-    for x in ideal.elements:
-        basis[top_length - x.length].append(x)
-    for row in basis:
-        row.sort(key=lambda x: x.images)
-    index = {x: k for row in basis for k, x in enumerate(row)}
-    matrices = [[]] + [
-        [[0] * len(basis[i]) for _ in basis[i - 1]] for i in range(1, top_length + 1)
-    ]
-    for x, y in ideal.covers:
-        matrices[top_length - x.length][index[y]][index[x]] = signs.sign[(x, y)]
+    """Chain complex on the ideal with sorted indices on into signs.elements,
+    graded by top_length - l(x); (length, one-line) index order puts each
+    basis in one-line order, and each cover (x, y) of the ideal is one entry
+    of the matrix leaving x's position."""
+    elements, sign = signs.elements, signs.sign
+    basis: list[list[int]] = [[] for _ in range(top_length + 1)]
+    for k in on:
+        basis[top_length - elements[k].length].append(k)
+    matrices = ((),) + tuple(
+        tuple(tuple(sign[y].get(x, 0) for x in basis[i]) for y in basis[i - 1])
+        for i in range(1, top_length + 1)
+    )
     return RestrictedComplex(
-        ideal.degree,
-        top_length,
-        tuple(len(b) for b in basis),
-        tuple(tuple(tuple(r) for r in m) for m in matrices),
+        signs.degree, top_length, tuple(len(b) for b in basis), matrices
     )
 
 
@@ -196,7 +178,11 @@ def restricted_complex(
     w: Permutation, u: Permutation, signs: SignAssignment
 ) -> RestrictedComplex:
     """The signed cover complex on B(w) /\\ B(u), with w at position 0."""
-    return build_complex(intersect_ideals(w, u), w.length, signs)
+    if not signs.degree == w.n == u.n:
+        raise DegreeMismatchError(f"degrees {signs.degree}, {w.n} and {u.n} differ")
+    down, index = signs.down, signs.index
+    on = _ideal_indices(down, index[w.images]) & _ideal_indices(down, index[u.images])
+    return build_complex(sorted(on), w.length, signs)
 
 
 def integer_rank(rows) -> int:
@@ -249,11 +235,12 @@ def differential_squares_to_zero(c: RestrictedComplex) -> bool:
 
 
 def _first_nonzero_position(
-    ideal: BruhatIdeal, top_length: int, signs: SignAssignment, stop_at: int
+    on: list[int], top_length: int, signs: SignAssignment, stop_at: int
 ) -> int | None:
     """Smallest i < stop_at with nonzero homology at -i of the complex on
-    ideal, scanning from position 0 and computing ranks lazily."""
-    c = build_complex(ideal, top_length, signs)
+    the ideal with sorted indices on, scanning from position 0 and computing
+    ranks lazily."""
+    c = build_complex(on, top_length, signs)
     prev_rank = 0
     for i in range(min(stop_at, c.top_length + 1)):
         nxt_rank = integer_rank(c.matrices[i + 1]) if i + 1 <= c.top_length else 0
@@ -299,10 +286,8 @@ def _grade(
     if w == e:
         return GradeReport(w, 0, e)
     elements, down = signs.elements, signs.down
-    top = bisect_left(
-        elements, (w.length, w.images), key=lambda x: (x.length, x.images)
-    )
-    below_w = _ideal_indices(down, top)
+    top = signs.index[w.images]
+    below_w = sorted(_ideal_indices(down, top))
     bit = {k: b for b, k in enumerate(below_w)}
     w_bit = 1 << bit[top]
     wr = [i for i in range(w.n - 1) if w.images[i] > w.images[i + 1]]
@@ -336,12 +321,7 @@ def _grade(
             continue
         built.add(mask)
         on = [below_w[b] for b, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
-        part = BruhatIdeal(
-            w.n,
-            frozenset(elements[j] for j in on),
-            tuple((elements[x], elements[y]) for y in on for x in down[y]),
-        )
-        i = _first_nonzero_position(part, w.length, signs, best)
+        i = _first_nonzero_position(on, w.length, signs, best)
         if i is not None and i < best:
             best, witness = i, u
         if record is not None and i is not None:
@@ -349,15 +329,15 @@ def _grade(
     return GradeReport(w, best, witness)
 
 
-def _ideal_indices(down: list[tuple[int, ...]], top: int) -> list[int]:
-    """The sorted indices of the elements below index top, walked down
-    through the cover lists down."""
+def _ideal_indices(down: list[tuple[int, ...]], top: int) -> set[int]:
+    """The indices of the elements below index top, walked down through the
+    cover lists down."""
     seen = {top}
     frontier = [top]
     while frontier:
         frontier = {j for k in frontier for j in down[k]} - seen
         seen |= frontier
-    return sorted(seen)
+    return seen
 
 
 def is_longest_parabolic_element(w: Permutation) -> bool:

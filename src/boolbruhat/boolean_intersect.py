@@ -9,9 +9,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 from .bruhat import RunWord, run_word_leq
-from .permcore import Permutation, is_boolean, support
+from .permcore import ENUMERATION_CAP, CapExceededError, Permutation, is_boolean, support
 
 
 class Orientation(enum.Enum):
@@ -130,7 +131,12 @@ def interval_components(universe) -> list[tuple[int, ...]]:
 
 def _selfish_product(intervals) -> list[frozenset[int]]:
     """Every union of one maximal selfish subset per interval of consecutive
-    integers."""
+    integers; raises CapExceededError, before building any, above the cap."""
+    count = prod(selfish_count(len(iv)) for iv in intervals)
+    if count > ENUMERATION_CAP:
+        raise CapExceededError(
+            f"{count} maximal selfish subsets, more than the cap {ENUMERATION_CAP}"
+        )
     per_interval = [
         [frozenset(iv[0] - 1 + i for i in x) for x in _maximal_selfish_interval(len(iv))]
         for iv in intervals
@@ -140,7 +146,7 @@ def _selfish_product(intervals) -> list[frozenset[int]]:
 
 def maximal_selfish(universe) -> SelfishFamily:
     """All maximal selfish subsets: products over interval components."""
-    universe = tuple(sorted(universe))
+    universe = tuple(sorted(set(universe)))
     members = _selfish_product(interval_components(universe))
     return SelfishFamily(universe, frozenset(members))
 
@@ -257,7 +263,12 @@ def intersection_maximal_closed_form(
 
 
 def _all_subsets(universe) -> list[frozenset[int]]:
+    """Raises CapExceededError, before building any, above the cap."""
     values = sorted(universe)
+    if 1 << len(values) > ENUMERATION_CAP:
+        raise CapExceededError(
+            f"2^{len(values)} subsets, more than the cap {ENUMERATION_CAP}"
+        )
     out = []
     for mask in range(1 << len(values)):
         out.append(frozenset(v for i, v in enumerate(values) if mask >> i & 1))

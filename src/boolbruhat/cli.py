@@ -336,6 +336,9 @@ def main(argv=None) -> int:
             parser.error(f"{args.theorem} requires --n")
         if args.sample is not None and args.theorem not in SAMPLING_CHECKS:
             parser.error(f"--sample applies only to {', '.join(sorted(SAMPLING_CHECKS))}")
+        for flag in ("k", "sample"):
+            if getattr(args, flag) is not None and getattr(args, flag) < 1:
+                parser.error(f"--{flag} must be at least 1")
     try:
         return args.func(args)
     except (CapExceededError, ValueError) as exc:

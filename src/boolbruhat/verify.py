@@ -181,7 +181,8 @@ def _matching_homology_report(
     problem = check_matching(cert)
     if problem is not None:
         return f"invalid certificate: {problem}"
-    ranks = homology_ranks(build_complex(cert.over, v.length, signs))
+    on = sorted(signs.index[x.images] for x in cert.over.elements)
+    ranks = homology_ranks(build_complex(on, v.length, signs))
     singles = cert.singletons()
     if not singles:
         if any(ranks.values()):

@@ -37,31 +37,47 @@ def w3(*letters):
 def test_hand_built_rank_three_sign_assignment_is_valid():
     e, s, t = Permutation.identity(3), w3(1), w3(2)
     st, ts, w0 = w3(1, 2), w3(2, 1), w3(1, 2, 1)
+    pairs = {
+        (e, s): 1,
+        (e, t): 1,
+        (s, st): -1,
+        (t, st): 1,
+        (s, ts): 1,
+        (t, ts): -1,
+        (st, w0): 1,
+        (ts, w0): 1,
+    }
+    elements = all_permutations(3)
+    index = {x.images: k for k, x in enumerate(elements)}
+    sign = [{} for _ in elements]
+    for (x, y), value in pairs.items():
+        sign[index[y.images]][index[x.images]] = value
     signs = SignAssignment(
-        3,
-        {
-            (e, s): 1,
-            (e, t): 1,
-            (s, st): -1,
-            (t, st): 1,
-            (s, ts): 1,
-            (t, ts): -1,
-            (st, w0): 1,
-            (ts, w0): 1,
-        },
-        all_permutations(3),
-        [(), (0,), (0,), (1, 2), (1, 2), (3, 4)],
+        3, elements, index, [(), (0,), (0,), (1, 2), (1, 2), (3, 4)], sign
     )
     assert diamond_violations(signs) == []
     assert signs.elements == all_permutations(3)
+    assert signs.index == build_sign_assignment(3).index
     assert signs.down == build_sign_assignment(3).down
+    sign[index[w0.images]][index[st.images]] = -1
+    assert diamond_violations(signs) == [(t, w0), (s, w0)]
 
 
 def test_sign_assignment_holds_one_object_per_element():
     signs = build_sign_assignment(4)
     assert signs.elements == all_permutations(4)
-    own = {id(x) for x in signs.elements}
-    assert all(id(x) in own and id(y) in own for x, y in signs.sign)
+    assert len(signs.index) == len(signs.elements) == len(signs.sign)
+    # the index keys are the elements' own one-line tuples, and the signs
+    # name elements only by position
+    assert all(
+        key is x.images and signs.index[key] == k
+        for k, (key, x) in enumerate(zip(signs.index, signs.elements))
+    )
+    assert all(
+        type(j) is int and 0 <= j < len(signs.elements)
+        for covers in signs.sign
+        for j in covers
+    )
 
 
 def test_down_lists_are_the_sorted_cover_indices():
@@ -71,14 +87,16 @@ def test_down_lists_are_the_sorted_cover_indices():
         assert len(signs.down) == len(signs.elements)
         for k, x in enumerate(signs.elements):
             assert signs.down[k] == tuple(sorted(index[y] for y in down_covers(x)))
+            assert signs.index[x.images] == k
+            assert signs.sign[k].keys() == set(signs.down[k])
 
 
 def test_single_cover_sign_is_the_root_value():
     signs = build_sign_assignment(2)
     e, s = Permutation.identity(2), Permutation((2, 1))
-    assert signs.sign[(e, s)] == 1
+    assert signs.sign[signs.index[s.images]] == {signs.index[e.images]: 1}
     flipped = build_sign_assignment(2, flip_roots=True)
-    assert flipped.sign[(e, s)] == -1
+    assert flipped.sign[flipped.index[s.images]] == {flipped.index[e.images]: -1}
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -88,7 +106,8 @@ def test_generated_assignment_has_no_diamond_violations(n):
 
 def test_cover_count_matches_the_built_assignment():
     for n in range(2, 8):
-        assert _cover_count(n) == len(build_sign_assignment(n).sign), n
+        signs = build_sign_assignment(n)
+        assert _cover_count(n) == sum(map(len, signs.down)), n
 
 
 def test_degree_cap(monkeypatch):
@@ -141,7 +160,9 @@ def test_restricted_complex_matches_brute_force():
             matrices = [()] + [
                 tuple(
                     tuple(
-                        signs.sign[(x, y)] if bruhat_leq(x, y) else 0
+                        signs.sign[signs.index[y.images]][signs.index[x.images]]
+                        if bruhat_leq(x, y)
+                        else 0
                         for x in basis[i]
                     )
                     for y in basis[i - 1]
@@ -212,15 +233,22 @@ def test_grade_pruning_matches_an_unpruned_scan():
 
 def test_grade_reads_bruhat_order_only_from_the_sign_assignment(monkeypatch):
     signs = build_sign_assignment(4)
-    expected = [grade(w, signs) for w in signs.elements]
+    elements = signs.elements
+    expected = [grade(w, signs) for w in elements]
+    complexes = [restricted_complex(w, u, signs) for w in elements for u in elements]
 
     def forbidden(*args):
-        raise AssertionError("grade compared elements outside signs.down")
+        raise AssertionError("Bruhat order read from outside signs.down")
 
-    for name in ("principal_ideal", "bruhat_leq"):
+    for name in ("principal_ideal", "bruhat_leq", "intersect_ideals", "down_covers"):
         monkeypatch.setattr(bruhat, name, forbidden)
         monkeypatch.setattr(bgg_homology, name, forbidden, raising=False)
-    assert [grade(w, signs) for w in signs.elements] == expected
+    assert [grade(w, signs) for w in elements] == expected
+    unpatched = iter(complexes)
+    for w in elements:
+        for u in elements:
+            c, want = restricted_complex(w, u, signs), next(unpatched)
+            assert (c.dims, c.matrices) == (want.dims, want.matrices), (w, u)
 
 
 def test_grade_rejects_a_sign_assignment_of_another_degree():
@@ -228,6 +256,10 @@ def test_grade_rejects_a_sign_assignment_of_another_degree():
         grade(Permutation((2, 1, 3)), build_sign_assignment(4))
     with pytest.raises(DegreeMismatchError):
         grade_table(3, build_sign_assignment(4))
+    with pytest.raises(DegreeMismatchError):
+        restricted_complex(Permutation((2, 1, 3)), w3(1), build_sign_assignment(4))
+    with pytest.raises(DegreeMismatchError):
+        restricted_complex(Permutation((2, 1, 3, 4)), w3(1), build_sign_assignment(4))
 
 
 def test_parabolic_longest_elements_are_perfect():

@@ -52,6 +52,10 @@ def test_selfish_family_matches_brute_force(k):
     )
 
 
+def test_selfish_universe_is_a_set():
+    assert maximal_selfish([1, 1, 2]) == maximal_selfish([1, 2])
+
+
 def test_selfish_family_factors_over_gaps():
     family = maximal_selfish({1, 2, 5, 6, 7}).members
     assert family == {

@@ -199,6 +199,27 @@ def test_oversized_sweep_over_all_of_s_n_exits_two(capsys):
     assert "more than the cap" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["selfish", "--k", "80"],
+        [
+            "intersect", "--closed-form", "--rw",
+            " ".join(map(str, range(1, 90))), " ".join(map(str, range(89, 0, -1))),
+        ],
+        [
+            "intersect", "--closed-form",
+            ",".join(map(str, [*range(2, 31), 1])),
+            ",".join(map(str, [3, 4, 1, 2, *range(30, 4, -1)])),
+        ],
+    ],
+)
+def test_oversized_selfish_enumerations_exit_two(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "more than the cap" in err
+
+
 def test_grade_without_arguments_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["grade"])
@@ -223,6 +244,9 @@ def test_grade_without_arguments_is_a_usage_error(capsys):
         ["--format", "dot", "grade", "2,1"],
         ["--degree-cap", "8", "rs", "2,1"],
         ["--ideal-cap", "5", "rs", "2,1"],
+        ["verify", "prop3.3", "--k", "0"],
+        ["verify", "thm6.8", "--n", "5", "--sample", "-3"],
+        ["verify", "cor3.6", "--n", "4", "--sample", "0"],
     ],
 )
 def test_flags_that_would_be_ignored_are_usage_errors(argv):
