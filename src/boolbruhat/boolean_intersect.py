@@ -88,20 +88,23 @@ def increasing_pairs(v: Permutation) -> frozenset[int]:
 
 
 def _maximal_selfish_interval(size: int) -> list[frozenset[int]]:
-    """Maximal selfish subsets of [1, size], by the two-step recursion."""
+    """Maximal selfish subsets of [1, size], by the two-step recursion.
+
+    Row k is built from rows k-2 and k-3, so only the last three rows are
+    kept.
+    """
     if size == 0:
         return [frozenset()]
-    table: list[list[frozenset[int]]] = [
-        [],
+    rows = (
         [frozenset({1})],
         [frozenset({1}), frozenset({2})],
         [frozenset({1, 3}), frozenset({2})],
-    ]
+    )
     for k in range(4, size + 1):
-        with_k = [x | {k} for x in table[k - 2]]
-        with_k_minus_1 = [x | {k - 1} for x in table[k - 3]]
-        table.append(with_k + with_k_minus_1)
-    return table[size]
+        with_k = [x | {k} for x in rows[1]]
+        with_k_minus_1 = [x | {k - 1} for x in rows[0]]
+        rows = (rows[1], rows[2], with_k + with_k_minus_1)
+    return rows[min(size, 3) - 1]
 
 
 def selfish_count(k: int) -> int:

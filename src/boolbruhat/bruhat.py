@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 from bisect import insort
 from dataclasses import dataclass
+from operator import le
 from typing import Literal
 
 from .permcore import (
@@ -54,26 +55,6 @@ class BruhatIdeal:
     def sorted_elements(self) -> list[Permutation]:
         return sorted(self.elements, key=lambda w: (w.length, w.images))
 
-    def below(self, u: Permutation) -> BruhatIdeal:
-        """The elements x <= u, with the covers whose top is kept.
-
-        Elements are visited by decreasing length, and x is kept at once when
-        one of its up-covers in self.covers is kept (x <= y <= u); only an x
-        with no kept up-cover is compared with u by bruhat_leq. The kept set
-        is again an ideal of a graded poset, so its covers are exactly the
-        ambient covers between its elements, in the same order.
-        """
-        ups: dict[Permutation, list[Permutation]] = {}
-        for x, y in self.covers:
-            ups.setdefault(x, []).append(y)
-        kept: set[Permutation] = set()
-        for x in sorted(self.elements, key=lambda x: x.length, reverse=True):
-            if any(y in kept for y in ups.get(x, ())) or bruhat_leq(x, u):
-                kept.add(x)
-        elements = frozenset(kept)
-        covers = tuple(p for p in self.covers if p[1] in elements)
-        return BruhatIdeal(self.degree, elements, covers)
-
 
 def bruhat_leq(u: Permutation, w: Permutation) -> bool:
     """u <= w in Bruhat order, by the sorted-prefix dominance criterion."""
@@ -123,44 +104,93 @@ def down_covers(w: Permutation) -> frozenset[Permutation]:
     return frozenset(Permutation(t) for t in _down_images(w.images))
 
 
+def _leq_below(w: Permutation):
+    """A test images -> (x <= w) for the one-line tuples x of rank at most
+    l(w), where rank is the length of x.
+
+    The sorted prefixes of w are built once. At rank l(w) only w itself lies
+    below w; below that, x <= w iff each sorted prefix of x that ends at a
+    right descent of x is dominated entrywise by the sorted prefix of w of
+    the same size (Bjorner-Brenti, Thm 2.6.3), the other prefixes being
+    implied. bruhat_leq is the independent check of this test.
+    """
+    top = w.images
+    n = len(top)
+    prefixes = [sorted(top[:k]) for k in range(n)]
+
+    def leq(images: tuple[int, ...], rank: int) -> bool:
+        if rank == w.length:
+            return images == top
+        for k in range(1, n):
+            if images[k - 1] > images[k] and not all(
+                map(le, sorted(images[:k]), prefixes[k])
+            ):
+                return False
+        return True
+
+    return leq
+
+
+def _walk(top: Permutation, leq=None) -> BruhatIdeal:
+    """B(top), or with leq the part of it that leq keeps, in one walk.
+
+    The walk runs on one-line tuples, rank by rank downward from top. All
+    up-covers of an element lie one rank higher, so they were all expanded
+    before the element is reached: it is kept at once when one of them was
+    kept, and only otherwise asked of leq(images, rank). Without leq every
+    element is kept. The kept set is again an ideal, so its covers are the
+    covers between kept elements. One Permutation is built per kept
+    element, never one per cover, with the walk's rank as its length.
+    Raises CapExceededError when B(top) has more than ENUMERATION_CAP
+    elements.
+    """
+    rank = top.length
+    level: dict[tuple[int, ...], list] = {top.images: []}
+    walked = 1
+    kept: dict[tuple[int, ...], Permutation] = {}
+    pairs = []
+    while level:
+        under: dict[tuple[int, ...], list] = {}
+        for t, ups in level.items():
+            keep = bool(ups) or leq is None or leq(t, rank)
+            if keep:
+                kept[t] = Permutation._of_valid(t, rank)
+                pairs += [(rank, t, y) for y in ups]
+            for x in _down_images(t):
+                up = under.get(x)
+                if up is None:
+                    up = under[x] = []
+                    walked += 1
+                    if walked > ENUMERATION_CAP:
+                        raise CapExceededError(
+                            f"ideal of {format_permutation(top)} has more "
+                            f"elements than the cap {ENUMERATION_CAP}"
+                        )
+                if keep:
+                    up.append(t)
+        level = under
+        rank -= 1
+    pairs.sort()
+    covers = tuple((kept[x], kept[y]) for _rank, x, y in pairs)
+    return BruhatIdeal(top.n, frozenset(kept.values()), covers)
+
+
 def principal_ideal(w: Permutation) -> BruhatIdeal:
     """The explicit principal order ideal B(w), walked down from w.
 
-    The walk runs on one-line tuples: each element is expanded once, and one
-    Permutation is built for each new element, never one per cover. So each
-    cover pair (x, y) met on the way is recorded once, with the first object
-    met for x. Not cached: a caller that reuses an ideal holds it. Raises
+    Not cached: a caller that reuses an ideal holds it. Raises
     CapExceededError above ENUMERATION_CAP elements.
     """
-    seen = {w.images: w}
-    covers = []
-    frontier = [w]
-    while frontier:
-        nxt = []
-        for y in frontier:
-            for t in _down_images(y.images):
-                own = seen.get(t)
-                if own is None:
-                    own = seen[t] = Permutation(t)
-                    if len(seen) > ENUMERATION_CAP:
-                        raise CapExceededError(
-                            f"ideal of {format_permutation(w)} has more "
-                            f"elements than the cap {ENUMERATION_CAP}"
-                        )
-                    nxt.append(own)
-                covers.append((own, y))
-        frontier = nxt
-    covers.sort(key=lambda p: (p[0].length, p[0].images, p[1].images))
-    return BruhatIdeal(w.n, frozenset(seen.values()), tuple(covers))
+    return _walk(w)
 
 
 def intersect_ideals(v: Permutation, w: Permutation) -> BruhatIdeal:
-    """B(v) /\\ B(w): the principal ideal of the shorter one, cut down below
-    the longer one."""
+    """B(v) /\\ B(w): the walk of the shorter one's ideal, keeping the
+    elements below the longer one."""
     if v.n != w.n:
         raise DegreeMismatchError(f"degrees {v.n} and {w.n} differ")
     small, big = (v, w) if v.length <= w.length else (w, v)
-    return principal_ideal(small).below(big)
+    return _walk(small, _leq_below(big))
 
 
 def maximal_elements(ideal: BruhatIdeal) -> list[Permutation]:

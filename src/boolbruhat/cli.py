@@ -315,6 +315,10 @@ def main(argv=None) -> int:
         parser.error("selfish takes one of --k and --universe")
     if args.command == "grade" and (args.w is None) == (args.all is None):
         parser.error("grade takes one of a permutation and --all N")
+    for flag in ("n", "k", "sample", "all"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            parser.error(f"--{flag} must be at least 1")
     command = args.command
     if command == "grade" and args.all is not None:
         command = "grade --all"
@@ -336,9 +340,6 @@ def main(argv=None) -> int:
             parser.error(f"{args.theorem} requires --n")
         if args.sample is not None and args.theorem not in SAMPLING_CHECKS:
             parser.error(f"--sample applies only to {', '.join(sorted(SAMPLING_CHECKS))}")
-        for flag in ("k", "sample"):
-            if getattr(args, flag) is not None and getattr(args, flag) < 1:
-                parser.error(f"--{flag} must be at least 1")
     try:
         return args.func(args)
     except (CapExceededError, ValueError) as exc:

@@ -50,6 +50,16 @@ class Permutation:
         object.__setattr__(self, "length", inv)
         object.__setattr__(self, "_hash", hash(images))
 
+    @classmethod
+    def _of_valid(cls, images: tuple[int, ...], length: int) -> "Permutation":
+        """The Permutation of images, a one-line tuple already known to be a
+        permutation of length length; neither is checked again."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "_hash", hash(images))
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
 

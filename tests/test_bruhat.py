@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -87,19 +88,22 @@ def test_intersection_covers_match_ambient_covers():
             assert set(ideal.covers) == expected
     elems = all_permutations(4)
     for w in elems:
-        below_w = principal_ideal(w)
-        # one object per element: every cover member is one of the elements
-        own = {id(x) for x in below_w.elements}
-        assert all(id(x) in own and id(y) in own for x, y in below_w.covers)
         for u in elems:
-            part = below_w.below(u)
+            for ideal in (principal_ideal(w), intersect_ideals(w, u)):
+                # one object per element: every cover member is one of the
+                # elements, and each element has its own length
+                own = {id(x) for x in ideal.elements}
+                assert all(id(x) in own and id(y) in own for x, y in ideal.covers)
+                for x in ideal.elements:
+                    assert x.length == Permutation(x.images).length
+            part = intersect_ideals(w, u)
             assert part.elements == {
                 x for x in elems if bruhat_leq(x, w) and bruhat_leq(x, u)
             }
-            assert part.covers == intersect_ideals(w, u).covers
+            assert part.covers == intersect_ideals(u, w).covers
 
 
-def test_ideals_and_below_match_brute_force_on_s5():
+def test_ideals_and_intersections_match_brute_force_on_s5():
     elems = all_permutations(5)
     leq = {(x, w): bruhat_leq(x, w) for x in elems for w in elems}
     covered_by = {y: down_covers(y) for y in elems}
@@ -114,34 +118,66 @@ def test_ideals_and_below_match_brute_force_on_s5():
         below_w = {x for x in elems if leq[x, w]}
         assert (ideal.elements, ideal.covers) == expected(below_w)
         for u in elems:
-            part = ideal.below(u)
+            part = intersect_ideals(w, u)
             both = {x for x in below_w if leq[x, u]}
             assert (part.elements, part.covers) == expected(both), (w, u)
+            assert all(x.length == Permutation(x.images).length for x in part.elements)
 
 
-def test_below_compares_only_elements_without_a_kept_up_cover(monkeypatch):
+def test_intersection_compares_only_elements_without_a_kept_up_cover(monkeypatch):
     calls = []
-    real = bruhat.bruhat_leq
+    factory = bruhat._leq_below
 
-    def counting(x, u):
-        calls.append(x)
-        return real(x, u)
+    def counting_factory(big):
+        real = factory(big)
 
-    monkeypatch.setattr(bruhat, "bruhat_leq", counting)
+        def counting(images, rank):
+            calls.append(images)
+            return real(images, rank)
+
+        return counting
+
+    monkeypatch.setattr(bruhat, "_leq_below", counting_factory)
     elems = all_permutations(4)
     for w in elems:
-        ideal = principal_ideal(w)
         for u in elems:
             calls.clear()
-            part = ideal.below(u)
-            kept_up = {x for x, y in ideal.covers if y in part.elements}
-            assert sorted(calls, key=lambda x: x.images) == sorted(
-                (x for x in ideal.elements if x not in kept_up),
-                key=lambda x: x.images,
+            part = intersect_ideals(w, u)
+            small = w if w.length <= u.length else u
+            walked = principal_ideal(small)
+            kept_up = {x for x, y in walked.covers if y in part.elements}
+            assert sorted(calls) == sorted(
+                x.images for x in walked.elements if x not in kept_up
             )
         calls.clear()
-        ideal.below(w)
-        assert calls == [w]
+        intersect_ideals(w, w)
+        assert calls == [w.images]
+
+
+def test_comparator_matches_bruhat_leq_on_s5():
+    elems = all_permutations(5)
+    for w in elems:
+        leq = bruhat._leq_below(w)
+        for x in elems:
+            if x.length <= w.length:
+                assert leq(x.images, x.length) == bruhat_leq(x, w), (x, w)
+
+
+def test_intersections_with_boolean_elements_match_brute_force_on_s8():
+    rng = random.Random(8)
+    booleans = boolean_permutations(8)
+    for _ in range(300):
+        v = rng.choice(booleans)
+        images = list(range(1, 9))
+        rng.shuffle(images)
+        w = Permutation(images)
+        ideal = principal_ideal(v)
+        members = {x for x in ideal.elements if bruhat_leq(x, w)}
+        covers = tuple(p for p in ideal.covers if p[1] in members)
+        part = intersect_ideals(v, w)
+        assert part.elements == members, (v, w)
+        assert part.covers == covers, (v, w)
+        assert intersect_ideals(w, v).covers == covers
 
 
 def test_intersection_is_commutative_and_an_ideal():

@@ -253,3 +253,22 @@ def test_flags_that_would_be_ignored_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["selfish", "--k", "-3"], "--k"),
+        (["selfish", "--k", "0"], "--k"),
+        (["verify", "thm2.4", "--n", "0"], "--n"),
+        (["verify", "thm2.4", "--n", "-1"], "--n"),
+        (["grade", "--all", "-2"], "--all"),
+        (["grade", "--all", "0"], "--all"),
+    ],
+)
+def test_sizes_below_one_are_usage_errors_naming_the_flag(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{flag} " in err and "at least 1" in err
