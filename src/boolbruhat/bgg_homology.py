@@ -52,7 +52,6 @@ class RestrictedComplex:
     at index i sends position -i to -i+1 (rows indexed by the higher rank).
     """
 
-    degree: int
     top_length: int
     dims: tuple[int, ...]
     matrices: tuple[tuple[tuple[int, ...], ...], ...]
@@ -169,9 +168,7 @@ def build_complex(
         tuple(tuple(sign[y].get(x, 0) for x in basis[i]) for y in basis[i - 1])
         for i in range(1, top_length + 1)
     )
-    return RestrictedComplex(
-        signs.degree, top_length, tuple(len(b) for b in basis), matrices
-    )
+    return RestrictedComplex(top_length, tuple(len(b) for b in basis), matrices)
 
 
 def restricted_complex(

@@ -12,7 +12,14 @@ from itertools import product
 from math import prod
 
 from .bruhat import RunWord, run_word_leq
-from .permcore import ENUMERATION_CAP, CapExceededError, Permutation, is_boolean, support
+from .permcore import (
+    ENUMERATION_CAP,
+    CapExceededError,
+    DegreeMismatchError,
+    Permutation,
+    is_boolean,
+    support,
+)
 
 
 class Orientation(enum.Enum):
@@ -173,27 +180,25 @@ def _run_candidates(v: Permutation) -> list[RunWord]:
     return out
 
 
-def _sub_runs(r: RunWord) -> tuple[RunWord, RunWord]:
-    """The two one-step-shorter runs of r (drop last letter, drop first)."""
-    return RunWord(r.start, r.span - 1, r.direction), RunWord(
-        r.start + 1, r.span - 1, r.direction
-    )
-
-
 def obstructions(v: Permutation, w: Permutation) -> ObstructionSet:
-    """Minimal run subwords of v's word that fail to lie below w."""
+    """Minimal run subwords of v's word that fail to lie below w.
+
+    Each candidate is compared with w once. The two one-letter-shorter
+    sub-runs of a run are candidates with the same letters, so their
+    answers are looked up by letters.
+    """
     if not is_boolean(v):
         raise ValueError("obstructions requires boolean v")
-    minimal = []
-    for r in _run_candidates(v):
-        if run_word_leq(r, w):
-            continue
-        if r.span == 0:
-            minimal.append(r)
-            continue
-        lo, hi = _sub_runs(r)
-        if run_word_leq(lo, w) and run_word_leq(hi, w):
-            minimal.append(r)
+    if v.n != w.n:
+        raise DegreeMismatchError(f"degrees {v.n} and {w.n} differ")
+    candidates = _run_candidates(v)
+    below = {r.letters: run_word_leq(r, w) for r in candidates}
+    minimal = [
+        r
+        for r in candidates
+        if not below[r.letters]
+        and (r.span == 0 or (below[r.letters[:-1]] and below[r.letters[1:]]))
+    ]
     return ObstructionSet(
         minimal_runs=frozenset(minimal),
         all_j_equal_1=all(r.span <= 1 for r in minimal),

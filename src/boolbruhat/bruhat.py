@@ -223,11 +223,18 @@ def ideal_to_json(ideal: BruhatIdeal) -> str:
 def ideal_to_dot(ideal: BruhatIdeal, name: str = "ideal") -> str:
     """DOT text: nodes labeled by one-line notation and canonical reduced word,
     ranked by length."""
+    return _dot(ideal, name)
+
+
+def _dot(ideal: BruhatIdeal, name: str, bold=frozenset(), circled=()) -> str:
+    """ideal_to_dot, with the covers (x, y) in bold drawn bold and each
+    element of circled given a second periphery."""
     lines = [f"digraph {name} {{", "  rankdir=BT;", '  node [shape=box];']
+    ordered = ideal.sorted_elements()
     by_rank: dict[int, list[Permutation]] = {}
-    for x in ideal.sorted_elements():
+    for x in ordered:
         by_rank.setdefault(x.length, []).append(x)
-    ids = {x: f"n{i}" for i, x in enumerate(ideal.sorted_elements())}
+    ids = {x: f"n{i}" for i, x in enumerate(ordered)}
     for x, nid in ids.items():
         word = format_reduced_word(canonical_reduced_word(x)) or "e"
         lines.append(f'  {nid} [label="{format_permutation(x)}\\n[{word}]"];')
@@ -235,6 +242,8 @@ def ideal_to_dot(ideal: BruhatIdeal, name: str = "ideal") -> str:
         same = " ".join(ids[x] + ";" for x in by_rank[rank])
         lines.append(f"  {{ rank=same; {same} }}")
     for x, y in ideal.covers:
-        lines.append(f"  {ids[x]} -> {ids[y]};")
+        mark = " [penwidth=3]" if (x, y) in bold else ""
+        lines.append(f"  {ids[x]} -> {ids[y]}{mark};")
+    lines += [f"  {ids[x]} [peripheries=2];" for x in circled]
     lines.append("}")
     return "\n".join(lines)

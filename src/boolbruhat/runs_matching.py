@@ -8,9 +8,8 @@ from dataclasses import dataclass
 from .bruhat import (
     BruhatIdeal,
     RunWord,
+    _dot,
     _down_images,
-    bruhat_leq,
-    ideal_to_dot,
     intersect_ideals,
 )
 from .permcore import (
@@ -226,14 +225,17 @@ def build_matching(v: Permutation, w: Permutation) -> MatchingCertificate:
 def check_matching(cert: MatchingCertificate) -> str | None:
     """First violated certificate condition, or None when valid.
 
-    Trusts nothing from the constructor: partition, cover condition, prefix
-    coideals, and the singleton count are all re-checked against the ideal.
-    The last check walks the down-covers of each element, found afresh from
-    its one-line notation rather than read from cert.over.covers: every one
-    must be an element (so the ideal is down-closed), and none may be added
-    at an earlier step than the element it lies under. Inside an order
-    ideal x <= y is a chain of covers, so that is exactly "every prefix of
-    steps is a coideal"; the failure reported is at the earliest such step.
+    Trusts nothing from the constructor. Violations are reported in this
+    order: a step element outside the ideal, repeated or in no step; more
+    than one singleton; then, walking the steps in order, whichever the walk
+    meets first of a down-cover outside the ideal and a pair that is not a
+    cover; last, the earliest prefix of steps that is not a coideal.
+    The walk lists the down-covers of each element afresh from its one-line
+    notation, not from cert.over.covers. A pair is a cover exactly when the
+    down-covers of its upper include an element of the same step, which can
+    only be its lower. Inside an order ideal x <= y is a chain of
+    covers, so every prefix is a coideal exactly when no down-cover is added
+    at an earlier step than the element it lies under.
     """
     elements = cert.over.elements
     seen: set[Permutation] = set()
@@ -250,22 +252,13 @@ def check_matching(cert: MatchingCertificate) -> str | None:
         missing = next(iter(elements - seen))
         return f"element {format_permutation(missing)} not covered by any step"
 
-    for step in cert.steps:
-        if isinstance(step, Pair):
-            if step.upper.length != step.lower.length + 1 or not bruhat_leq(
-                step.lower, step.upper
-            ):
-                return (
-                    f"pair ({format_permutation(step.lower)}, "
-                    f"{format_permutation(step.upper)}) is not a cover"
-                )
-
     if len(cert.singletons()) > 1:
         return "more than one singleton"
 
     first = None
     for k, step in enumerate(cert.steps):
         for y in _members(step):
+            paired = False
             for t in _down_images(y.images):
                 j = step_of.get(t)
                 if j is None:
@@ -273,8 +266,16 @@ def check_matching(cert: MatchingCertificate) -> str | None:
                         f"element {format_permutation(Permutation(t))} covered "
                         f"by {format_permutation(y)} is outside the ideal"
                     )
-                if j < k and (first is None or j < first[0]):
-                    first = (j, t, y)
+                if j <= k:
+                    if j == k:
+                        paired = True
+                    elif first is None or j < first[0]:
+                        first = (j, t, y)
+            if not paired and isinstance(step, Pair) and y is step.upper:
+                return (
+                    f"pair ({format_permutation(step.lower)}, "
+                    f"{format_permutation(step.upper)}) is not a cover"
+                )
     if first is not None:
         j, t, y = first
         return (
@@ -302,21 +303,5 @@ def matching_to_json(cert: MatchingCertificate) -> str:
 
 def matching_to_dot(cert: MatchingCertificate, name: str = "matching") -> str:
     """DOT of the matched ideal: pair edges bold, the singleton circled."""
-    base = ideal_to_dot(cert.over, name)
-    lines = base.splitlines()
-    ordered = cert.over.sorted_elements()
-    ids = {x: f"n{i}" for i, x in enumerate(ordered)}
-    pair_edges = {
-        (ids[s.lower], ids[s.upper]) for s in cert.steps if isinstance(s, Pair)
-    }
-    out = []
-    for line in lines:
-        stripped = line.strip()
-        if "->" in stripped:
-            src, dst = stripped.rstrip(";").split(" -> ")
-            if (src, dst) in pair_edges:
-                line = f"  {src} -> {dst} [penwidth=3];"
-        out.append(line)
-    for s in cert.singletons():
-        out.insert(len(out) - 1, f"  {ids[s]} [peripheries=2];")
-    return "\n".join(out)
+    bold = {(s.lower, s.upper) for s in cert.steps if isinstance(s, Pair)}
+    return _dot(cert.over, name, bold, cert.singletons())

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from boolbruhat.boolean_intersect import (
     Orientation,
+    _run_candidates,
     increasing_pairs,
     interval_components,
     intersection_maximal_closed_form,
@@ -11,8 +14,9 @@ from boolbruhat.boolean_intersect import (
     selfish_count,
     subword_element,
 )
-from boolbruhat.bruhat import intersect_ideals, maximal_elements
+from boolbruhat.bruhat import bruhat_leq, intersect_ideals, maximal_elements
 from boolbruhat.permcore import (
+    DegreeMismatchError,
     Permutation,
     boolean_permutations,
     canonical_reduced_word,
@@ -125,6 +129,32 @@ def test_obstruction_runs_for_two_known_pairs():
     runs = {(r.start, r.span, r.direction) for r in obs.minimal_runs}
     assert runs == {(1, 2, "decreasing"), (3, 2, "increasing")}
     assert not obs.all_j_equal_1
+
+
+def test_obstructions_reject_mixed_degrees():
+    small, big = Permutation((2, 1, 3)), Permutation((1, 3, 2, 4))
+    for v, w in ((small, big), (Permutation((2, 1, 4, 3)), small)):
+        with pytest.raises(DegreeMismatchError, match=f"degrees {v.n} and {w.n} differ"):
+            obstructions(v, w)
+        with pytest.raises(DegreeMismatchError):
+            intersection_maximal_closed_form(v, w)
+
+
+def brute_minimal_runs(v, w):
+    """Oracle: the candidates not below w whose letter sets are minimal
+    among those of all such candidates, each compared by bruhat_leq."""
+    bad = [r for r in _run_candidates(v) if not bruhat_leq(r.permutation(v.n), w)]
+    return {r for r in bad if not any(s.letter_set < r.letter_set for s in bad)}
+
+
+def test_obstructions_match_the_brute_force():
+    rng = random.Random(36)
+    for n in range(2, 7):
+        for v in boolean_permutations(n):
+            for _ in range(4):
+                w = Permutation(rng.sample(range(1, n + 1), n))
+                obs = obstructions(v, w)
+                assert obs.minimal_runs == brute_minimal_runs(v, w), (v, w)
 
 
 def test_subword_element_picks_letters_in_word_order():

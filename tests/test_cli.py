@@ -155,6 +155,13 @@ def test_export_dot(capsys):
     assert "penwidth=3" in out
 
 
+def test_closed_form_of_mixed_degrees_exits_two(capsys):
+    code, out, err = run(capsys, "intersect", "--closed-form", "2,1,3", "1,3,2,4")
+    assert code == 2
+    assert not out
+    assert "degrees 3 and 4 differ" in err
+
+
 def test_invalid_permutation_exits_two(capsys):
     code, _, err = run(capsys, "boolean", "1,1,2")
     assert code == 2

@@ -1,10 +1,17 @@
 import random
 from collections import Counter
+from itertools import permutations
 
 import pytest
 
 from boolbruhat import verify
-from boolbruhat.bruhat import BruhatIdeal, RunWord, bruhat_leq, intersect_ideals
+from boolbruhat.bruhat import (
+    BruhatIdeal,
+    RunWord,
+    bruhat_leq,
+    ideal_to_dot,
+    intersect_ideals,
+)
 from boolbruhat.permcore import (
     Permutation,
     ReducedWord,
@@ -185,6 +192,14 @@ def test_checker_rejects_non_cover_pairs():
         ideal,
     )
     assert "not a cover" in check_matching(really_bogus)
+    reversed_pair = MatchingCertificate(
+        (
+            Pair(top, Permutation.from_word((2,), 3)),
+            Pair(e, Permutation.from_word((1,), 3)),
+        ),
+        ideal,
+    )
+    assert "not a cover" in check_matching(reversed_pair)
 
 
 def prefixes_are_coideals(cert):
@@ -254,6 +269,37 @@ def test_certificate_exports():
     assert '"pair"' in js
     dot = matching_to_dot(cert)
     assert "penwidth=3" in dot
+
+
+def reparsed_matching_dot(cert, name="matching"):
+    """Oracle: ideal_to_dot with its cover lines re-parsed, pair edges made
+    bold, and the singletons circled before the closing brace."""
+    lines = ideal_to_dot(cert.over, name).splitlines()
+    ids = {x: f"n{i}" for i, x in enumerate(cert.over.sorted_elements())}
+    pair_edges = {
+        (ids[s.lower], ids[s.upper]) for s in cert.steps if isinstance(s, Pair)
+    }
+    out = []
+    for line in lines:
+        stripped = line.strip()
+        if "->" in stripped:
+            src, dst = stripped.rstrip(";").split(" -> ")
+            if (src, dst) in pair_edges:
+                line = f"  {src} -> {dst} [penwidth=3];"
+        out.append(line)
+    for s in cert.singletons():
+        out.insert(len(out) - 1, f"  {ids[s]} [peripheries=2];")
+    return "\n".join(out)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_matching_dot_matches_the_reparsed_ideal_dot(n):
+    every = [Permutation(p) for p in permutations(range(1, n + 1))]
+    for v in boolean_permutations(n):
+        for w in every:
+            cert = build_matching(v, w)
+            assert matching_to_dot(cert) == reparsed_matching_dot(cert), (v, w)
+    assert matching_to_dot(cert, "m") == reparsed_matching_dot(cert, "m")
 
 
 def test_lemma_sweep_builds_each_matching_once(monkeypatch):
