@@ -164,11 +164,19 @@ def build_complex(
     basis: list[list[int]] = [[] for _ in range(top_length + 1)]
     for k in on:
         basis[top_length - elements[k].length].append(k)
-    matrices = ((),) + tuple(
-        tuple(tuple(sign[y].get(x, 0) for x in basis[i]) for y in basis[i - 1])
-        for i in range(1, top_length + 1)
-    )
-    return RestrictedComplex(top_length, tuple(len(b) for b in basis), matrices)
+    matrices: list[tuple] = [()]
+    for i in range(1, top_length + 1):
+        column = {x: c for c, x in enumerate(basis[i])}
+        rows = []
+        for y in basis[i - 1]:
+            row = [0] * len(column)
+            for x, s in sign[y].items():
+                c = column.get(x)
+                if c is not None:
+                    row[c] = s
+            rows.append(tuple(row))
+        matrices.append(tuple(rows))
+    return RestrictedComplex(top_length, tuple(len(b) for b in basis), tuple(matrices))
 
 
 def restricted_complex(
@@ -256,12 +264,20 @@ def grade(
 
     u comparable with w is skipped (exact complex) except the identity, which
     supplies the l(w) baseline; u sharing a left or right descent with w is
-    skipped for the same reason. Bruhat order is read from signs.down alone:
-    B(w) is walked down from w, each of its elements gets a bit, and one pass
-    over signs.elements, rank by rank, sets mask[u] = own bit | OR of the
-    masks of u's down-covers, which is B(w) /\\ B(u). So u <= w is "u has a
-    bit", w <= u is "w's bit is in mask[u]", and a u whose mask was already
-    seen is skipped, since its complex, and so its position, is the same.
+    skipped for the same reason, and so is a u whose intersection was already
+    seen, since its complex, and so its position, is the same. Bruhat order
+    is read from signs.down alone, and each complex is filled from the sparse
+    signs of its covers.
+
+    Boolean w: every element below w is boolean, so B(w) /\\ B(u) is the AND
+    of two bitmasks over the boolean elements of S_n, built in one pass per
+    sign assignment (on the first grade call, not in build_sign_assignment).
+    The scan visits each distinct mask once, at the first u that has it;
+    a later u with the same mask has the same complex. Other w: B(w) is
+    walked down from w, each of its elements gets a bit, and one pass over
+    signs.elements, rank by rank, sets mask[u] = own bit | OR of the masks of
+    u's down-covers, which is B(w) /\\ B(u).
+
     record, if given, maps each u whose complex is built to its first
     nonzero position, when that lies below the bound in force then.
     Raises DegreeMismatchError when signs is not an assignment of S_n for
@@ -282,24 +298,116 @@ def _grade(
     e = Permutation.identity(w.n)
     if w == e:
         return GradeReport(w, 0, e)
-    elements, down = signs.elements, signs.down
+    masks = _boolean_masks(signs)
     top = signs.index[w.images]
-    below_w = sorted(_ideal_indices(down, top))
-    bit = {k: b for b, k in enumerate(below_w)}
-    w_bit = 1 << bit[top]
-    wr = [i for i in range(w.n - 1) if w.images[i] > w.images[i + 1]]
-    wl = [
-        i for i in range(1, w.n) if w.images.index(i + 1) < w.images.index(i)
-    ]
+    scan = _boolean_scan if masks.own[top] else _ideal_scan
     best = w.length
     witness = e
+    for k, on in scan(signs, masks, top):
+        if best <= enough:
+            break
+        i = _first_nonzero_position(on, w.length, signs, best)
+        u = signs.elements[k]
+        if i is not None and i < best:
+            best, witness = i, u
+        if record is not None and i is not None:
+            record[u] = i
+    return GradeReport(w, best, witness)
+
+
+@dataclass(frozen=True, eq=False)
+class _BooleanMasks:
+    """One pass over a sign assignment's elements, in index order. Bit b
+    stands for the b-th boolean element, boolean[b] is its index, own[k] is
+    element k's own bit (0 when it is not boolean), and mask[k] is own[k]
+    ORed with the masks of k's down-covers: the boolean elements below k.
+    distinct holds (first index k, mask[k]) for each distinct mask, in index
+    order. right[k] and left[k] have bit i set for each right (left) descent
+    s_{i+1} of element k."""
+
+    boolean: list[int]
+    own: list[int]
+    mask: list[int]
+    distinct: list[tuple[int, int]]
+    right: list[int]
+    left: list[int]
+
+
+@lru_cache(maxsize=8)
+def _boolean_masks(signs: SignAssignment) -> _BooleanMasks:
+    """Built once per assignment (cached on its identity). An element of
+    length 2 or more is boolean when its length equals its number of
+    distinct letters, the simple reflections below it: bits 1..n-1, since
+    they follow the identity in index order."""
+    n = signs.degree
+    letters = (1 << n) - 2
+    boolean: list[int] = []
+    own: list[int] = []
+    mask: list[int] = []
+    first: dict[int, int] = {}
+    right: list[int] = []
+    left: list[int] = []
+    for k, x in enumerate(signs.elements):
+        below = 0
+        for j in signs.down[k]:
+            below |= mask[j]
+        bit = 0
+        if x.length < 2 or (below & letters).bit_count() == x.length:
+            bit = 1 << len(boolean)
+            boolean.append(k)
+        own.append(bit)
+        mask.append(below | bit)
+        first.setdefault(below | bit, k)
+        # descents as bitmasks, without a frozenset per element of S_n
+        img = x.images
+        position = [0] * n
+        for p, v in enumerate(img):
+            position[v - 1] = p
+        r = l = 0
+        for i in range(n - 1):
+            if img[i] > img[i + 1]:
+                r |= 1 << i
+            if position[i + 1] < position[i]:
+                l |= 1 << i
+        right.append(r)
+        left.append(l)
+    distinct = [(k, m) for m, k in first.items()]
+    return _BooleanMasks(boolean, own, mask, distinct, right, left)
+
+
+def _boolean_scan(signs: SignAssignment, masks: _BooleanMasks, top: int):
+    """(u, sorted indices of B(w) /\\ B(u)) for boolean w = element top, once
+    per distinct intersection, read off each distinct mask at its first
+    index u; u comparable with w or sharing a descent with it is skipped.
+    A later u with the same mask is never visited: its complex is that of
+    the first, which is exact when the first was skipped. Takes signs,
+    unread, so that it and _ideal_scan are interchangeable."""
+    own, right, left = masks.own, masks.right, masks.left
+    mw, w_bit, wr, wl = masks.mask[top], own[top], right[top], left[top]
+    built: set[int] = set()
+    for k, m in masks.distinct:
+        if m & w_bit or own[k] & mw or right[k] & wr or left[k] & wl:
+            continue
+        m &= mw
+        if m not in built:
+            built.add(m)
+            yield k, _members(m, masks.boolean)
+
+
+def _ideal_scan(signs: SignAssignment, masks: _BooleanMasks, top: int):
+    """(u, sorted indices of B(w) /\\ B(u)) for any w = element top, once
+    per distinct intersection, at its first u of S_n in index order, with
+    the masks over B(w) described in grade; u comparable with w or sharing
+    a descent with it is skipped."""
+    down, right, left = signs.down, masks.right, masks.left
+    ideal = sorted(_ideal_indices(down, top))
+    bit = {k: b for b, k in enumerate(ideal)}
+    w_bit, wr, wl = 1 << bit[top], right[top], left[top]
     built: set[int] = set()
     prev: dict[int, int] = {}
     cur: dict[int, int] = {}
     length = 0
-    for k, u in enumerate(elements):
-        if best <= enough:
-            break
+    for k, u in enumerate(signs.elements):
         if u.length != length:
             prev, cur, length = cur, {}, u.length
         own = bit.get(k)
@@ -307,23 +415,16 @@ def _grade(
         for j in down[k]:
             mask |= prev[j]
         cur[k] = mask
-        if own is not None or mask & w_bit:
+        if own is not None or mask & w_bit or right[k] & wr or left[k] & wl:
             continue
-        img = u.images
-        if any(img[i] > img[i + 1] for i in wr) or any(
-            img.index(i + 1) < img.index(i) for i in wl
-        ):
-            continue
-        if mask in built:
-            continue
-        built.add(mask)
-        on = [below_w[b] for b, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
-        i = _first_nonzero_position(on, w.length, signs, best)
-        if i is not None and i < best:
-            best, witness = i, u
-        if record is not None and i is not None:
-            record[u] = i
-    return GradeReport(w, best, witness)
+        if mask not in built:
+            built.add(mask)
+            yield k, _members(mask, ideal)
+
+
+def _members(mask: int, ideal: list[int]) -> list[int]:
+    """ideal[b] for each bit b set in mask, in bit order."""
+    return [ideal[b] for b, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
 
 def _ideal_indices(down: list[tuple[int, ...]], top: int) -> set[int]:

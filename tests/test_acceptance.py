@@ -52,11 +52,11 @@ def test_criterion_01_rank_two_grade_table():
 
 
 def test_criterion_02_grade_equals_a_on_boolean_elements():
-    for n in (3, 4, 5, 6, 7):
+    for n in (3, 4, 5, 6, 7, 8):
         assert check_thm6_8(n) == []
     assert check_thm6_8(6, sample=200, seed=0) == []
     print(
-        "PASS criterion 2: grade = a, boolean, exhaustive n<=7 + 200 draws with"
+        "PASS criterion 2: grade = a, boolean, exhaustive n<=8 + 200 draws with"
         " replacement at n=6, each distinct element checked once"
     )
 

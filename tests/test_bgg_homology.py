@@ -1,10 +1,16 @@
+import random
+
 import pytest
 
 from boolbruhat import bgg_homology, bruhat, verify
 from boolbruhat.bgg_homology import (
     GradeReport,
     SignAssignment,
+    _boolean_masks,
     _cover_count,
+    _ideal_indices,
+    _members,
+    build_complex,
     build_sign_assignment,
     diamond_violations,
     differential_squares_to_zero,
@@ -18,13 +24,14 @@ from boolbruhat.bgg_homology import (
     is_perfect,
     restricted_complex,
 )
-from boolbruhat.bruhat import bruhat_leq, down_covers
+from boolbruhat.bruhat import bruhat_leq, down_covers, intersect_ideals
 from boolbruhat.permcore import (
     CapExceededError,
     DegreeMismatchError,
     Permutation,
     all_permutations,
     boolean_permutations,
+    descents,
 )
 from boolbruhat.rs_afunction import YoungShape, a_function, longest_parabolic_element
 from boolbruhat.verify import check_thm7_2
@@ -291,3 +298,107 @@ def test_longest_parabolic_recognition():
     assert is_longest_parabolic_element(Permutation.identity(3))
     assert not is_longest_parabolic_element(Permutation((2, 4, 1, 3)))
     assert not is_longest_parabolic_element(Permutation((1, 2, 4, 3, 5)).inverse() * Permutation((1, 3, 2, 4, 5)))
+
+
+@pytest.mark.parametrize("flip_roots", [False, True])
+def test_boolean_scan_matches_the_per_w_pass(monkeypatch, flip_roots):
+    """The distinct-mask scan of boolean w against the per-w pass over all
+    of S_n, which serves every other w: same grade, witness and record."""
+    for n in range(4, 8):
+        signs = build_sign_assignment(n, flip_roots=flip_roots)
+        booleans = boolean_permutations(n)
+        fast = []
+        for w in booleans:
+            record = {}
+            fast.append((grade(w, signs, record), record))
+        perfect = [is_perfect(w, signs) for w in booleans] if n <= 6 else None
+        with monkeypatch.context() as m:
+            m.setattr(bgg_homology, "_boolean_scan", bgg_homology._ideal_scan)
+            for w, (report, record) in zip(booleans, fast):
+                slow = {}
+                assert grade(w, signs, slow) == report, w
+                assert slow == record, w
+            if perfect is not None:
+                assert [is_perfect(w, signs) for w in booleans] == perfect
+
+
+def test_only_boolean_w_take_the_distinct_mask_scan(monkeypatch):
+    signs = build_sign_assignment(4)
+
+    def forbidden(*args):
+        raise AssertionError("wrong scan")
+
+    boolean, other = Permutation((2, 3, 1, 4)), Permutation((3, 2, 1, 4))
+    with monkeypatch.context() as m:
+        m.setattr(bgg_homology, "_ideal_scan", forbidden)
+        assert grade(boolean, signs).grade == 1
+        with pytest.raises(AssertionError, match="wrong scan"):
+            grade(other, signs)
+    monkeypatch.setattr(bgg_homology, "_boolean_scan", forbidden)
+    assert grade(other, signs).grade == 3
+    with pytest.raises(AssertionError, match="wrong scan"):
+        grade(boolean, signs)
+
+
+def test_boolean_masks_are_the_intersections_with_boolean_ideals():
+    def check(masks, signs, v, u):
+        k, j = signs.index[v.images], signs.index[u.images]
+        got = {signs.elements[i] for i in _members(masks.mask[k] & masks.mask[j], masks.boolean)}
+        assert got == intersect_ideals(v, u).elements, (v, u)
+
+    for n in (4, 5, 6):
+        signs = build_sign_assignment(n)
+        masks = _boolean_masks(signs)
+        booleans = boolean_permutations(n)
+        assert [signs.elements[k] for k in masks.boolean] == booleans
+        assert [k for k, bit in enumerate(masks.own) if bit] == masks.boolean
+        for k, x in enumerate(signs.elements):
+            assert masks.right[k] == sum(1 << (i - 1) for i in descents(x, "right"))
+            assert masks.left[k] == sum(1 << (i - 1) for i in descents(x, "left"))
+        first = {}
+        for k, m in enumerate(masks.mask):
+            first.setdefault(m, k)
+        assert masks.distinct == [(k, m) for m, k in first.items()]
+        if n < 6:
+            for v in booleans:
+                for u in signs.elements:
+                    check(masks, signs, v, u)
+        else:
+            rng = random.Random(6)
+            for _ in range(300):
+                check(masks, signs, rng.choice(booleans), rng.choice(signs.elements))
+    for n, count in ((6, 513), (7, 2761)):
+        assert len(_boolean_masks(build_sign_assignment(n)).distinct) == count
+
+
+def test_boolean_masks_are_built_by_the_first_grade_not_the_sign_build():
+    _boolean_masks.cache_clear()
+    signs = build_sign_assignment(4)
+    assert _boolean_masks.cache_info().currsize == 0
+    grade(Permutation((2, 1, 3, 4)), signs)
+    grade(Permutation((4, 3, 2, 1)), signs)
+    info = _boolean_masks.cache_info()
+    assert (info.currsize, info.hits) == (1, 1)
+    assert _boolean_masks(signs) is _boolean_masks(signs)
+
+
+def test_sparse_fill_matches_a_dense_fill():
+    def dense(on, top_length, signs):
+        basis = [[] for _ in range(top_length + 1)]
+        for k in on:
+            basis[top_length - signs.elements[k].length].append(k)
+        matrices = ((),) + tuple(
+            tuple(tuple(signs.sign[y].get(x, 0) for x in basis[i]) for y in basis[i - 1])
+            for i in range(1, top_length + 1)
+        )
+        return tuple(len(b) for b in basis), matrices
+
+    for n, tops in ((4, all_permutations(4)), (5, boolean_permutations(5))):
+        signs = build_sign_assignment(n)
+        ideals = [_ideal_indices(signs.down, k) for k in range(len(signs.elements))]
+        for w in tops:
+            below_w = ideals[signs.index[w.images]]
+            for below_u in ideals:
+                on = sorted(below_w & below_u)
+                c = build_complex(on, w.length, signs)
+                assert (c.dims, c.matrices) == dense(on, w.length, signs), (w, on)
