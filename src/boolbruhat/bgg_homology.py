@@ -101,30 +101,36 @@ def _build_sign_assignment(n: int, flip_roots: bool) -> SignAssignment:
     index = {x.images: k for k, x in enumerate(elements)}
     down = [tuple(sorted(index[t] for t in _down_images(x.images))) for x in elements]
     sign: list[dict[int, int]] = []
-    for k, diamonds in _diamonds(down):
-        constraints: dict[int, list[tuple[int, int]]] = {j: [] for j in down[k]}
-        for j1, j2, i in diamonds:
-            parity = -sign[j1][i] * sign[j2][i]
-            constraints[j1].append((j2, parity))
-            constraints[j2].append((j1, parity))
-        value: dict[int, int] = {}
-        for j in down[k]:
-            if j in value:
+    for k, dk in enumerate(down):
+        # links[a]: (b, parity) for each b whose edge to k shares a diamond
+        # with the edge from dk[a]; the sign of dk[b] is parity times dk[a]'s
+        links: list[list[tuple[int, int]]] = [[] for _ in dk]
+        for a, j1 in enumerate(dk):
+            s1 = sign[j1]
+            for b in range(a + 1, len(dk)):
+                s2 = sign[dk[b]]
+                for i in s1.keys() & s2.keys():
+                    parity = -s1[i] * s2[i]
+                    links[a].append((b, parity))
+                    links[b].append((a, parity))
+        value = [0] * len(dk)
+        for a in range(len(dk)):
+            if value[a]:
                 continue
-            value[j] = root
-            queue = [j]
+            value[a] = root
+            queue = [a]
             while queue:
                 cur = queue.pop()
-                for other, parity in constraints[cur]:
+                for other, parity in links[cur]:
                     want = value[cur] * parity
-                    if other not in value:
+                    if not value[other]:
                         value[other] = want
                         queue.append(other)
                     elif value[other] != want:
                         raise AssertionError(
                             f"inconsistent diamond system below {elements[k]!r}"
                         )
-        sign.append({j: value[j] for j in down[k]})
+        sign.append(dict(zip(dk, value)))
     return SignAssignment(n, elements, index, down, sign)
 
 

@@ -15,6 +15,7 @@ from .permcore import (
     canonical_reduced_word,
     format_permutation,
     format_reduced_word,
+    support,
 )
 
 @dataclass(frozen=True)
@@ -134,6 +135,19 @@ def _leq_below(w: Permutation):
 def _walk(top: Permutation, leq=None) -> BruhatIdeal:
     """B(top), or with leq the part of it that leq keeps, in one walk.
 
+    A boolean top is walked as the subwords of one reduced word
+    (_subword_walk), any other top by its covers (_cover_walk); both give
+    the same elements and the same covers in the same order. Raises
+    CapExceededError when B(top) has more than ENUMERATION_CAP elements.
+    """
+    if top.length == len(support(top)):
+        return _subword_walk(top, leq)
+    return _cover_walk(top, leq)
+
+
+def _cover_walk(top: Permutation, leq=None) -> BruhatIdeal:
+    """_walk by down-covers, for any top.
+
     The walk runs on one-line tuples, rank by rank downward from top. All
     up-covers of an element lie one rank higher, so they were all expanded
     before the element is reached: it is kept at once when one of them was
@@ -141,8 +155,6 @@ def _walk(top: Permutation, leq=None) -> BruhatIdeal:
     element is kept. The kept set is again an ideal, so its covers are the
     covers between kept elements. One Permutation is built per kept
     element, never one per cover, with the walk's rank as its length.
-    Raises CapExceededError when B(top) has more than ENUMERATION_CAP
-    elements.
     """
     rank = top.length
     level: dict[tuple[int, ...], list] = {top.images: []}
@@ -162,10 +174,7 @@ def _walk(top: Permutation, leq=None) -> BruhatIdeal:
                     up = under[x] = []
                     walked += 1
                     if walked > ENUMERATION_CAP:
-                        raise CapExceededError(
-                            f"ideal of {format_permutation(top)} has more "
-                            f"elements than the cap {ENUMERATION_CAP}"
-                        )
+                        raise _cap_error(top)
                 if keep:
                     up.append(t)
         level = under
@@ -173,6 +182,83 @@ def _walk(top: Permutation, leq=None) -> BruhatIdeal:
     pairs.sort()
     covers = tuple((kept[x], kept[y]) for _rank, x, y in pairs)
     return BruhatIdeal(top.n, frozenset(kept.values()), covers)
+
+
+def _subword_walk(top: Permutation, leq=None) -> BruhatIdeal:
+    """_walk for a boolean top, whose ideal is a boolean lattice.
+
+    By the subword property B(top) is the set of subwords of one reduced
+    word s_1 ... s_k of top; its letters are distinct, so the 2^k subwords
+    are distinct reduced words and their covers are the single-letter
+    deletions. Bit b of a mask stands for letter b + 1 of the word
+    (_subword_tuples). Masks are visited in decreasing order, so every
+    up-cover (one more bit) comes first, and the keep rule is _cover_walk's.
+    Sorting the kept masks by (rank, one-line) once puts the covers, as
+    pairs of positions in that order, in _cover_walk's (rank, lower, upper)
+    order.
+    """
+    images = list(top.images)
+    word = []
+    # sort top to the identity by adjacent swaps; read backwards, the swaps
+    # are a reduced word of top
+    for j in range(1, len(images)):
+        p = j
+        while p and images[p - 1] > images[p]:
+            images[p - 1], images[p] = images[p], images[p - 1]
+            word.append(p)
+            p -= 1
+    k = len(word)
+    if 1 << k > ENUMERATION_CAP:
+        raise _cap_error(top)
+    word.reverse()
+    tuples = _subword_tuples(tuple(images), word)
+    marked = bytearray(1 << k)
+    kept = []
+    for m in range((1 << k) - 1, -1, -1):
+        if marked[m] or leq is None or leq(tuples[m], m.bit_count()):
+            kept.append(m)
+            bits = m
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                marked[m ^ low] = 1
+    kept.sort(key=lambda m: (m.bit_count(), tuples[m]))
+    pos = [0] * (1 << k)
+    for p, m in enumerate(kept):
+        pos[m] = p
+    size = len(kept)
+    keys = []
+    for m in kept:
+        up = pos[m]
+        bits = m
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            keys.append(pos[m ^ low] * size + up)
+    keys.sort()
+    elements = [Permutation._of_valid(tuples[m], m.bit_count()) for m in kept]
+    covers = tuple((elements[c // size], elements[c % size]) for c in keys)
+    return BruhatIdeal(top.n, frozenset(elements), covers)
+
+
+def _subword_tuples(identity: tuple[int, ...], word: list[int]) -> list[tuple[int, ...]]:
+    """The one-line tuples of the subwords of word, indexed by mask (bit b
+    for letter b + 1 of word). The tuple of a mask with highest bit b is
+    that of the mask without it with the positions of letter b + 1 swapped."""
+    tuples = [identity]
+    for i in word:
+        for t in tuples[:]:
+            out = list(t)
+            out[i - 1], out[i] = t[i], t[i - 1]
+            tuples.append(tuple(out))
+    return tuples
+
+
+def _cap_error(top: Permutation) -> CapExceededError:
+    return CapExceededError(
+        f"ideal of {format_permutation(top)} has more "
+        f"elements than the cap {ENUMERATION_CAP}"
+    )
 
 
 def principal_ideal(w: Permutation) -> BruhatIdeal:

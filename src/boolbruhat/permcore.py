@@ -158,12 +158,13 @@ def support(w: Permutation) -> frozenset[int]:
     Computed from one-line notation: k is in the support iff the prefix
     {w(1), ..., w(k)} differs from {1, ..., k}.
     """
-    members = set()
+    members = []
     seen_max = 0
-    for k in range(1, w.n):
-        seen_max = max(seen_max, w.images[k - 1])
+    for k, v in enumerate(w.images[:-1], 1):
+        if v > seen_max:
+            seen_max = v
         if seen_max != k:
-            members.add(k)
+            members.append(k)
     return frozenset(members)
 
 

@@ -111,6 +111,73 @@ def test_generated_assignment_has_no_diamond_violations(n):
     assert diamond_violations(build_sign_assignment(n)) == []
 
 
+def _reference_signs(n, flip_roots):
+    """The sign solve as first written: diamonds found by tuple membership,
+    constraints held in dicts keyed by element index."""
+    root = -1 if flip_roots else 1
+    elements = all_permutations(n)
+    index = {x.images: k for k, x in enumerate(elements)}
+    down = [
+        tuple(sorted(index[t] for t in bruhat._down_images(x.images)))
+        for x in elements
+    ]
+    sign = []
+    for k, dk in enumerate(down):
+        diamonds = [
+            (j1, j2, i)
+            for a, j1 in enumerate(dk)
+            for j2 in dk[a + 1 :]
+            for i in down[j1]
+            if i in down[j2]
+        ]
+        constraints = {j: [] for j in dk}
+        for j1, j2, i in diamonds:
+            parity = -sign[j1][i] * sign[j2][i]
+            constraints[j1].append((j2, parity))
+            constraints[j2].append((j1, parity))
+        value = {}
+        for j in dk:
+            if j in value:
+                continue
+            value[j] = root
+            queue = [j]
+            while queue:
+                cur = queue.pop()
+                for other, parity in constraints[cur]:
+                    want = value[cur] * parity
+                    if other not in value:
+                        value[other] = want
+                        queue.append(other)
+                    elif value[other] != want:
+                        raise ValueError(f"inconsistent below {elements[k]!r}")
+        sign.append({j: value[j] for j in dk})
+    return sign
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_sign_solve_matches_the_reference_solve(n):
+    for flip_roots in (False, True):
+        signs = build_sign_assignment(n, flip_roots=flip_roots)
+        want = _reference_signs(n, flip_roots)
+        assert signs.sign == want
+        assert [list(s) for s in signs.sign] == [list(s) for s in want]
+
+
+def test_inconsistent_diamond_system_raises(monkeypatch):
+    # s1 s2 in S_4 given the extra down-cover s3: its three down-edges then
+    # pairwise share the diamond over e, an odd cycle of sign flips
+    real = bruhat._down_images
+
+    def extra_cover(images):
+        yield from real(images)
+        if images == (2, 3, 1, 4):
+            yield (1, 2, 4, 3)
+
+    monkeypatch.setattr(bgg_homology, "_down_images", extra_cover)
+    with pytest.raises(AssertionError, match="inconsistent diamond system"):
+        bgg_homology._build_sign_assignment.__wrapped__(4, False)
+
+
 def test_cover_count_matches_the_built_assignment():
     for n in range(2, 8):
         signs = build_sign_assignment(n)

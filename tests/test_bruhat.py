@@ -22,6 +22,7 @@ from boolbruhat.permcore import (
     all_permutations,
     boolean_permutations,
     enumerate_reduced_words,
+    is_boolean,
 )
 
 
@@ -152,6 +153,17 @@ def test_intersection_compares_only_elements_without_a_kept_up_cover(monkeypatch
         calls.clear()
         intersect_ideals(w, w)
         assert calls == [w.images]
+    # the subword walk of a boolean operand, in both argument orders
+    for v in boolean_permutations(5):
+        for u in all_permutations(5):
+            for w in ((v, u), (u, v)):
+                calls.clear()
+                part = intersect_ideals(*w)
+                walked = principal_ideal(min(w, key=lambda x: x.length))
+                kept_up = {x for x, y in walked.covers if y in part.elements}
+                assert sorted(calls) == sorted(
+                    x.images for x in walked.elements if x not in kept_up
+                ), w
 
 
 def test_comparator_matches_bruhat_leq_on_s5():
@@ -218,3 +230,79 @@ def test_exports_mention_every_element():
         label = ",".join(str(i) for i in x.images)
         assert label in dot
         assert label in js
+
+
+def _same_ideal(got, want):
+    return (
+        got.elements == want.elements
+        and got.covers == want.covers
+        and ideal_to_json(got) == ideal_to_json(want)
+    )
+
+
+def test_subword_walk_matches_the_cover_walk_on_s5_and_s6():
+    # every ordered pair of S_5; JSON text where the walked operand is boolean
+    elems = all_permutations(5)
+    for v in elems:
+        for w in elems:
+            small, big = (v, w) if v.length <= w.length else (w, v)
+            got = intersect_ideals(v, w)
+            want = bruhat._cover_walk(small, bruhat._leq_below(big))
+            if is_boolean(small):
+                assert _same_ideal(got, want), (v, w)
+            else:
+                assert (got.elements, got.covers) == (want.elements, want.covers)
+    for v in boolean_permutations(6):
+        assert _same_ideal(principal_ideal(v), bruhat._cover_walk(v)), v
+
+
+def test_subword_walk_matches_the_cover_walk_on_boolean_pairs_of_s8():
+    rng = random.Random(17)
+    booleans = boolean_permutations(8)
+    shorter_w = 0
+    for case in range(300):
+        v = rng.choice(booleans)
+        if case % 2:
+            w = rng.choice(booleans)
+        else:
+            images = list(range(1, 9))
+            rng.shuffle(images)
+            w = Permutation(images)
+        small, big = (v, w) if v.length <= w.length else (w, v)
+        want = bruhat._cover_walk(small, bruhat._leq_below(big))
+        assert _same_ideal(intersect_ideals(v, w), want), (v, w)
+        assert _same_ideal(intersect_ideals(w, v), want), (w, v)
+        shorter_w += w.length < v.length
+    assert shorter_w >= 30
+
+
+def test_boolean_top_over_the_cap_fails_before_building_images(monkeypatch):
+    def no_images(identity, word):
+        raise AssertionError("subword images built before the cap check")
+
+    monkeypatch.setattr(bruhat, "ENUMERATION_CAP", 8)
+    v = Permutation.from_word((1, 2, 3), 5)
+    assert len(principal_ideal(v).elements) == 8
+    monkeypatch.setattr(bruhat, "_subword_tuples", no_images)
+    for top in (Permutation.from_word((4, 1, 2, 3), 5), Permutation.from_word(range(1, 30), 30)):
+        with pytest.raises(CapExceededError):
+            principal_ideal(top)
+        with pytest.raises(CapExceededError):
+            intersect_ideals(top, Permutation(tuple(range(top.n, 0, -1))))
+
+
+def test_walk_does_not_read_the_closed_form(monkeypatch):
+    from boolbruhat import boolean_intersect
+
+    monkeypatch.setattr(boolean_intersect, "increasing_pairs", lambda v: frozenset())
+    monkeypatch.setattr(
+        boolean_intersect, "subword_element", lambda v, letters: Permutation.identity(v.n)
+    )
+    rng = random.Random(6)
+    booleans = boolean_permutations(6)
+    elems = all_permutations(6)
+    for _ in range(60):
+        v, w = rng.choice(booleans), rng.choice(elems)
+        want = {x for x in elems if bruhat_leq(x, v) and bruhat_leq(x, w)}
+        assert intersect_ideals(v, w).elements == want, (v, w)
+        assert intersect_ideals(w, v).elements == want, (w, v)
