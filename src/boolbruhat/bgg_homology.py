@@ -12,7 +12,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 
 from .bruhat import _down_images
@@ -33,15 +33,21 @@ class SignAssignment:
     """Signs +-1 on the covers of S_n satisfying the diamond condition on
     every length-2 interval, stored by cover index. elements is all of S_n in
     (length, one-line) order, index maps each one-line tuple to its position
-    in elements, down[k] is the sorted indices of the down-covers of
-    elements[k], and sign[k] maps each j in down[k] to the sign of the cover
-    elements[j] < elements[k]."""
+    in elements, and sign[k] maps the index j of each down-cover of
+    elements[k], in increasing order, to the sign of the cover
+    elements[j] < elements[k]: its keys are the Bruhat covers, held once."""
 
     degree: int
     elements: list[Permutation]
     index: dict[tuple[int, ...], int]
-    down: list[tuple[int, ...]]
     sign: list[dict[int, int]]
+
+    @cached_property
+    def masks(self) -> _BooleanMasks:
+        """The boolean and descent masks that grade scans, built on first
+        read (by the first grade call, never by the sign build) and kept
+        with the assignment."""
+        return _boolean_masks(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,9 +105,9 @@ def _build_sign_assignment(n: int, flip_roots: bool) -> SignAssignment:
     root = -1 if flip_roots else 1
     elements = all_permutations(n)
     index = {x.images: k for k, x in enumerate(elements)}
-    down = [tuple(sorted(index[t] for t in _down_images(x.images))) for x in elements]
     sign: list[dict[int, int]] = []
-    for k, dk in enumerate(down):
+    for k, x in enumerate(elements):
+        dk = sorted(index[t] for t in _down_images(x.images))
         # links[a]: (b, parity) for each b whose edge to k shares a diamond
         # with the edge from dk[a]; the sign of dk[b] is parity times dk[a]'s
         links: list[list[tuple[int, int]]] = [[] for _ in dk]
@@ -131,28 +137,30 @@ def _build_sign_assignment(n: int, flip_roots: bool) -> SignAssignment:
                             f"inconsistent diamond system below {elements[k]!r}"
                         )
         sign.append(dict(zip(dk, value)))
-    return SignAssignment(n, elements, index, down, sign)
+    return SignAssignment(n, elements, index, sign)
 
 
-def _diamonds(down: list[tuple[int, ...]]):
+def _diamonds(sign: list[dict[int, int]]):
     """Each index k with the diamonds (j1, j2, i) below it: j1 < j2 both
-    covered by k and both covering i."""
-    for k, dk in enumerate(down):
+    covered by k and both covering i, in increasing order of the cover
+    indices, whatever the order of the keys of sign."""
+    for k, covers in enumerate(sign):
+        dk = sorted(covers)
         yield k, [
             (j1, j2, i)
             for a, j1 in enumerate(dk)
             for j2 in dk[a + 1 :]
-            for i in down[j1]
-            if i in down[j2]
+            for i in sorted(sign[j1])
+            if i in sign[j2]
         ]
 
 
 def diamond_violations(signs: SignAssignment) -> list[tuple[Permutation, Permutation]]:
     """Length-2 intervals [x, z] whose four edge signs do not multiply to -1,
-    over the covers recorded in signs.down."""
+    over the covers recorded as the keys of signs.sign."""
     sign, elements = signs.sign, signs.elements
     bad = []
-    for k, diamonds in _diamonds(signs.down):
+    for k, diamonds in _diamonds(sign):
         for j1, j2, i in diamonds:
             if sign[j1][i] * sign[k][j1] * sign[j2][i] * sign[k][j2] != -1:
                 bad.append((elements[i], elements[k]))
@@ -191,8 +199,8 @@ def restricted_complex(
     """The signed cover complex on B(w) /\\ B(u), with w at position 0."""
     if not signs.degree == w.n == u.n:
         raise DegreeMismatchError(f"degrees {signs.degree}, {w.n} and {u.n} differ")
-    down, index = signs.down, signs.index
-    on = _ideal_indices(down, index[w.images]) & _ideal_indices(down, index[u.images])
+    sign, index = signs.sign, signs.index
+    on = _ideal_indices(sign, index[w.images]) & _ideal_indices(sign, index[u.images])
     return build_complex(sorted(on), w.length, signs)
 
 
@@ -272,17 +280,18 @@ def grade(
     supplies the l(w) baseline; u sharing a left or right descent with w is
     skipped for the same reason, and so is a u whose intersection was already
     seen, since its complex, and so its position, is the same. Bruhat order
-    is read from signs.down alone, and each complex is filled from the sparse
-    signs of its covers.
+    is read from the keys of signs.sign alone, and each complex is filled
+    from the sparse signs of its covers.
 
     Boolean w: every element below w is boolean, so B(w) /\\ B(u) is the AND
     of two bitmasks over the boolean elements of S_n, built in one pass per
-    sign assignment (on the first grade call, not in build_sign_assignment).
+    sign assignment as signs.masks (by the first grade call, not by
+    build_sign_assignment).
     The scan visits each distinct mask once, at the first u that has it;
     a later u with the same mask has the same complex. Other w: B(w) is
     walked down from w, each of its elements gets a bit, and one pass over
-    signs.elements, rank by rank, sets mask[u] = own bit | OR of the masks of
-    u's down-covers, which is B(w) /\\ B(u).
+    signs.elements, in index order, sets mask[u] = own bit | OR of the masks
+    of u's down-covers, which is B(w) /\\ B(u).
 
     record, if given, maps each u whose complex is built to its first
     nonzero position, when that lies below the bound in force then.
@@ -304,12 +313,11 @@ def _grade(
     e = Permutation.identity(w.n)
     if w == e:
         return GradeReport(w, 0, e)
-    masks = _boolean_masks(signs)
     top = signs.index[w.images]
-    scan = _boolean_scan if masks.own[top] else _ideal_scan
+    scan = _boolean_scan if signs.masks.own[top] else _ideal_scan
     best = w.length
     witness = e
-    for k, on in scan(signs, masks, top):
+    for k, on in scan(signs, top):
         if best <= enough:
             break
         i = _first_nonzero_position(on, w.length, signs, best)
@@ -339,12 +347,11 @@ class _BooleanMasks:
     left: list[int]
 
 
-@lru_cache(maxsize=8)
 def _boolean_masks(signs: SignAssignment) -> _BooleanMasks:
-    """Built once per assignment (cached on its identity). An element of
-    length 2 or more is boolean when its length equals its number of
-    distinct letters, the simple reflections below it: bits 1..n-1, since
-    they follow the identity in index order."""
+    """The masks of SignAssignment.masks. An element of length 2 or more
+    is boolean when its length equals its number of distinct letters, the
+    simple reflections below it: bits 1..n-1, since they follow the
+    identity in index order."""
     n = signs.degree
     letters = (1 << n) - 2
     boolean: list[int] = []
@@ -355,7 +362,7 @@ def _boolean_masks(signs: SignAssignment) -> _BooleanMasks:
     left: list[int] = []
     for k, x in enumerate(signs.elements):
         below = 0
-        for j in signs.down[k]:
+        for j in signs.sign[k]:
             below |= mask[j]
         bit = 0
         if x.length < 2 or (below & letters).bit_count() == x.length:
@@ -381,13 +388,13 @@ def _boolean_masks(signs: SignAssignment) -> _BooleanMasks:
     return _BooleanMasks(boolean, own, mask, distinct, right, left)
 
 
-def _boolean_scan(signs: SignAssignment, masks: _BooleanMasks, top: int):
+def _boolean_scan(signs: SignAssignment, top: int):
     """(u, sorted indices of B(w) /\\ B(u)) for boolean w = element top, once
     per distinct intersection, read off each distinct mask at its first
     index u; u comparable with w or sharing a descent with it is skipped.
     A later u with the same mask is never visited: its complex is that of
-    the first, which is exact when the first was skipped. Takes signs,
-    unread, so that it and _ideal_scan are interchangeable."""
+    the first, which is exact when the first was skipped."""
+    masks = signs.masks
     own, right, left = masks.own, masks.right, masks.left
     mw, w_bit, wr, wl = masks.mask[top], own[top], right[top], left[top]
     built: set[int] = set()
@@ -400,27 +407,23 @@ def _boolean_scan(signs: SignAssignment, masks: _BooleanMasks, top: int):
             yield k, _members(m, masks.boolean)
 
 
-def _ideal_scan(signs: SignAssignment, masks: _BooleanMasks, top: int):
+def _ideal_scan(signs: SignAssignment, top: int):
     """(u, sorted indices of B(w) /\\ B(u)) for any w = element top, once
     per distinct intersection, at its first u of S_n in index order, with
-    the masks over B(w) described in grade; u comparable with w or sharing
-    a descent with it is skipped."""
-    down, right, left = signs.down, masks.right, masks.left
-    ideal = sorted(_ideal_indices(down, top))
+    the masks over B(w) described in grade, kept in one index-ordered list;
+    u comparable with w or sharing a descent with it is skipped."""
+    sign, right, left = signs.sign, signs.masks.right, signs.masks.left
+    ideal = sorted(_ideal_indices(sign, top))
     bit = {k: b for b, k in enumerate(ideal)}
     w_bit, wr, wl = 1 << bit[top], right[top], left[top]
     built: set[int] = set()
-    prev: dict[int, int] = {}
-    cur: dict[int, int] = {}
-    length = 0
-    for k, u in enumerate(signs.elements):
-        if u.length != length:
-            prev, cur, length = cur, {}, u.length
+    mask_at: list[int] = []
+    for k, covers in enumerate(sign):
         own = bit.get(k)
         mask = 0 if own is None else 1 << own
-        for j in down[k]:
-            mask |= prev[j]
-        cur[k] = mask
+        for j in covers:
+            mask |= mask_at[j]
+        mask_at.append(mask)
         if own is not None or mask & w_bit or right[k] & wr or left[k] & wl:
             continue
         if mask not in built:
@@ -433,13 +436,13 @@ def _members(mask: int, ideal: list[int]) -> list[int]:
     return [ideal[b] for b, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
 
-def _ideal_indices(down: list[tuple[int, ...]], top: int) -> set[int]:
+def _ideal_indices(sign: list[dict[int, int]], top: int) -> set[int]:
     """The indices of the elements below index top, walked down through the
-    cover lists down."""
+    keys of sign."""
     seen = {top}
     frontier = [top]
     while frontier:
-        frontier = {j for k in frontier for j in down[k]} - seen
+        frontier = {j for k in frontier for j in sign[k]} - seen
         seen |= frontier
     return seen
 

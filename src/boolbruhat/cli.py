@@ -163,7 +163,7 @@ def cmd_afun(args) -> int:
 
 
 def cmd_selfish(args) -> int:
-    if args.universe:
+    if args.universe is not None:
         universe = [int(tok) for tok in args.universe.split(",")]
     else:
         universe = range(1, args.k + 1)

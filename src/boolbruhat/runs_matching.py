@@ -89,34 +89,25 @@ def run_decompose(v: Permutation) -> RunDecomposition:
     Reduced words of a boolean permutation are the linear extensions of a
     zigzag order on the support: each pair {k, k+1} of support letters keeps
     a fixed relative order across all words, and distant letters commute.
-    A run decomposition is therefore a partition of each support interval
-    into blocks of constant direction, arranged compatibly; blocks form a
-    path whose orientation is always acyclic, so any minimal partition works.
+    Each support interval is cut greedily into the fewest blocks of constant
+    direction (_minimal_blocks), so the pair across the boundary after a
+    block runs against the block: after an increasing block, the next block
+    must come first; after a decreasing one, it must come after. The word
+    places each chain of blocks joined by increasing blocks right to left,
+    and the chains left to right.
     """
     if not is_boolean(v):
         raise ValueError("run_decompose requires a boolean permutation")
     increasing = increasing_pairs(v)
-    blocks: list[RunWord] = []
-    for comp in interval_components(support(v)):
-        blocks.extend(_minimal_blocks(comp, increasing))
-
-    # A block waits for its letter-adjacent neighbour when the boundary pair
-    # puts the neighbour first; the next block is the smallest-start block
-    # that is not waiting.
-    waits_for: dict[RunWord, list[RunWord]] = {b: [] for b in blocks}
-    for left, right in zip(blocks, blocks[1:]):
-        top = left.start + left.span
-        if right.start == top + 1:
-            if top in increasing:
-                waits_for[right].append(left)
-            else:
-                waits_for[left].append(right)
     ordered: list[RunWord] = []
-    pending = list(blocks)
-    while pending:
-        b = next(b for b in pending if all(p in ordered for p in waits_for[b]))
-        ordered.append(b)
-        pending.remove(b)
+    for comp in interval_components(support(v)):
+        chain: list[RunWord] = []
+        for block in _minimal_blocks(comp, increasing):
+            chain.append(block)
+            if block.direction == "decreasing":
+                ordered.extend(reversed(chain))
+                chain = []
+        ordered.extend(reversed(chain))
     letters: list[int] = []
     for r in ordered:
         letters.extend(r.letters)

@@ -177,10 +177,8 @@ def check_thm3_10(n: int) -> list[str]:
 def _matching_homology_report(
     v: Permutation, cert: MatchingCertificate, signs: SignAssignment
 ) -> str | None:
-    """Lemma check for one pair: matched ideal forces the predicted homology."""
-    problem = check_matching(cert)
-    if problem is not None:
-        return f"invalid certificate: {problem}"
+    """Lemma check for one pair whose certificate is valid: the matched ideal
+    forces the predicted homology."""
     on = sorted(signs.index[x.images] for x in cert.over.elements)
     ranks = homology_ranks(build_complex(on, v.length, signs))
     singles = cert.singletons()
@@ -207,7 +205,11 @@ def _matching_sweep(n: int, perfect: bool) -> list[str]:
             cert = build_matching(v, w)
             if cert.is_perfect != perfect:
                 continue
-            report = _matching_homology_report(v, cert, signs)
+            problem = check_matching(cert)
+            if problem is not None:
+                report = f"invalid certificate: {problem}"
+            else:
+                report = _matching_homology_report(v, cert, signs)
             if report is not None:
                 bad.append(
                     f"v={format_permutation(v)} w={format_permutation(w)}: {report}"

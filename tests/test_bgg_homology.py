@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -6,7 +7,6 @@ from boolbruhat import bgg_homology, bruhat, verify
 from boolbruhat.bgg_homology import (
     GradeReport,
     SignAssignment,
-    _boolean_masks,
     _cover_count,
     _ideal_indices,
     _members,
@@ -56,21 +56,25 @@ def test_hand_built_rank_three_sign_assignment_is_valid():
     }
     elements = all_permutations(3)
     index = {x.images: k for k, x in enumerate(elements)}
-    sign = [{} for _ in elements]
-    for (x, y), value in pairs.items():
-        sign[index[y.images]][index[x.images]] = value
-    signs = SignAssignment(
-        3, elements, index, [(), (0,), (0,), (1, 2), (1, 2), (3, 4)], sign
-    )
-    assert diamond_violations(signs) == []
-    assert signs.elements == all_permutations(3)
-    assert signs.index == build_sign_assignment(3).index
-    assert signs.down == build_sign_assignment(3).down
-    sign[index[w0.images]][index[st.images]] = -1
-    assert diamond_violations(signs) == [(t, w0), (s, w0)]
+    built = build_sign_assignment(3)
+    # the report order does not depend on the order of the sign keys
+    for order in (list(pairs.items()), list(reversed(pairs.items()))):
+        sign = [{} for _ in elements]
+        for (x, y), value in order:
+            sign[index[y.images]][index[x.images]] = value
+        signs = SignAssignment(3, elements, index, sign)
+        assert diamond_violations(signs) == []
+        assert signs.elements == all_permutations(3)
+        assert signs.index == built.index
+        assert [sorted(covers) for covers in sign] == [list(c) for c in built.sign]
+        sign[index[w0.images]][index[st.images]] = -1
+        assert diamond_violations(signs) == [(t, w0), (s, w0)]
 
 
 def test_sign_assignment_holds_one_object_per_element():
+    # the covers are held once, as the keys of sign
+    fields = tuple(f.name for f in dataclasses.fields(SignAssignment))
+    assert fields == ("degree", "elements", "index", "sign")
     signs = build_sign_assignment(4)
     assert signs.elements == all_permutations(4)
     assert len(signs.index) == len(signs.elements) == len(signs.sign)
@@ -91,11 +95,10 @@ def test_down_lists_are_the_sorted_cover_indices():
     for n in range(2, 6):
         signs = build_sign_assignment(n)
         index = {x: k for k, x in enumerate(signs.elements)}
-        assert len(signs.down) == len(signs.elements)
+        assert len(signs.sign) == len(signs.elements)
         for k, x in enumerate(signs.elements):
-            assert signs.down[k] == tuple(sorted(index[y] for y in down_covers(x)))
+            assert list(signs.sign[k]) == sorted(index[y] for y in down_covers(x))
             assert signs.index[x.images] == k
-            assert signs.sign[k].keys() == set(signs.down[k])
 
 
 def test_single_cover_sign_is_the_root_value():
@@ -181,7 +184,7 @@ def test_inconsistent_diamond_system_raises(monkeypatch):
 def test_cover_count_matches_the_built_assignment():
     for n in range(2, 8):
         signs = build_sign_assignment(n)
-        assert _cover_count(n) == sum(map(len, signs.down)), n
+        assert _cover_count(n) == sum(map(len, signs.sign)), n
 
 
 def test_degree_cap(monkeypatch):
@@ -312,7 +315,7 @@ def test_grade_reads_bruhat_order_only_from_the_sign_assignment(monkeypatch):
     complexes = [restricted_complex(w, u, signs) for w in elements for u in elements]
 
     def forbidden(*args):
-        raise AssertionError("Bruhat order read from outside signs.down")
+        raise AssertionError("Bruhat order read from outside signs.sign")
 
     for name in ("principal_ideal", "bruhat_leq", "intersect_ideals", "down_covers"):
         monkeypatch.setattr(bruhat, name, forbidden)
@@ -415,7 +418,7 @@ def test_boolean_masks_are_the_intersections_with_boolean_ideals():
 
     for n in (4, 5, 6):
         signs = build_sign_assignment(n)
-        masks = _boolean_masks(signs)
+        masks = signs.masks
         booleans = boolean_permutations(n)
         assert [signs.elements[k] for k in masks.boolean] == booleans
         assert [k for k, bit in enumerate(masks.own) if bit] == masks.boolean
@@ -435,18 +438,25 @@ def test_boolean_masks_are_the_intersections_with_boolean_ideals():
             for _ in range(300):
                 check(masks, signs, rng.choice(booleans), rng.choice(signs.elements))
     for n, count in ((6, 513), (7, 2761)):
-        assert len(_boolean_masks(build_sign_assignment(n)).distinct) == count
+        assert len(build_sign_assignment(n).masks.distinct) == count
 
 
-def test_boolean_masks_are_built_by_the_first_grade_not_the_sign_build():
-    _boolean_masks.cache_clear()
-    signs = build_sign_assignment(4)
-    assert _boolean_masks.cache_info().currsize == 0
+def test_boolean_masks_are_built_by_the_first_grade_not_the_sign_build(monkeypatch):
+    calls = []
+    real = bgg_homology._boolean_masks
+
+    def counting(signs):
+        calls.append(signs)
+        return real(signs)
+
+    monkeypatch.setattr(bgg_homology, "_boolean_masks", counting)
+    signs = bgg_homology._build_sign_assignment.__wrapped__(4, False)
+    assert calls == [] and "masks" not in vars(signs)
     grade(Permutation((2, 1, 3, 4)), signs)
     grade(Permutation((4, 3, 2, 1)), signs)
-    info = _boolean_masks.cache_info()
-    assert (info.currsize, info.hits) == (1, 1)
-    assert _boolean_masks(signs) is _boolean_masks(signs)
+    assert calls == [signs]
+    assert signs.masks is signs.masks
+    assert len(calls) == 1
 
 
 def test_sparse_fill_matches_a_dense_fill():
@@ -462,7 +472,7 @@ def test_sparse_fill_matches_a_dense_fill():
 
     for n, tops in ((4, all_permutations(4)), (5, boolean_permutations(5))):
         signs = build_sign_assignment(n)
-        ideals = [_ideal_indices(signs.down, k) for k in range(len(signs.elements))]
+        ideals = [_ideal_indices(signs.sign, k) for k in range(len(signs.elements))]
         for w in tops:
             below_w = ideals[signs.index[w.images]]
             for below_u in ideals:

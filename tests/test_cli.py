@@ -126,6 +126,14 @@ def test_selfish_by_universe(capsys):
     assert payload["maximal"] == [[1, 5], [2, 5]]
 
 
+def test_selfish_with_an_empty_universe_is_an_input_error(capsys):
+    for universe in ("", "1,,3"):
+        code, out, err = run(capsys, "selfish", "--universe", universe)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_verify_pass(capsys):
     code, out, _ = run(capsys, "verify", "thm2.4", "--n", "3")
     assert code == 0

@@ -5,6 +5,7 @@ from itertools import permutations
 import pytest
 
 from boolbruhat import verify
+from boolbruhat.boolean_intersect import increasing_pairs, interval_components
 from boolbruhat.bruhat import (
     BruhatIdeal,
     RunWord,
@@ -19,11 +20,13 @@ from boolbruhat.permcore import (
     enumerate_reduced_words,
     format_permutation,
     is_boolean,
+    support,
 )
 from boolbruhat.runs_matching import (
     MatchingCertificate,
     Pair,
     Singleton,
+    _minimal_blocks,
     build_matching,
     check_matching,
     matching_to_dot,
@@ -83,6 +86,42 @@ def test_one_letter_runs_are_increasing():
     dec = run_decompose(Permutation.from_word((2, 1, 3), 4))
     assert dec.runs == (RunWord(1, 1, "decreasing"), RunWord(3, 0, "increasing"))
     assert dec.word.letters == (2, 1, 3)
+
+
+def waits_for_order(v):
+    """The block order as first written: a block waits for its
+    letter-adjacent neighbour when the boundary pair puts the neighbour
+    first, and the next block is the smallest-start block not waiting."""
+    increasing = increasing_pairs(v)
+    blocks = [
+        b
+        for comp in interval_components(support(v))
+        for b in _minimal_blocks(comp, increasing)
+    ]
+    waits_for = {b: [] for b in blocks}
+    for left, right in zip(blocks, blocks[1:]):
+        top = left.start + left.span
+        if right.start == top + 1:
+            if top in increasing:
+                waits_for[right].append(left)
+            else:
+                waits_for[left].append(right)
+    ordered = []
+    pending = list(blocks)
+    while pending:
+        b = next(b for b in pending if all(p in ordered for p in waits_for[b]))
+        ordered.append(b)
+        pending.remove(b)
+    return tuple(ordered)
+
+
+def test_chains_of_blocks_match_the_waits_for_order():
+    for n in range(1, 11):
+        for v in boolean_permutations(n):
+            ordered = waits_for_order(v)
+            dec = run_decompose(v)
+            assert dec.runs == ordered, v
+            assert dec.word.letters == tuple(a for r in ordered for a in r.letters), v
 
 
 def test_run_decompose_rejects_non_boolean():
@@ -314,3 +353,41 @@ def test_lemma_sweep_builds_each_matching_once(monkeypatch):
     assert verify.check_lem4_3(3) == []
     assert len(calls) == len(boolean_permutations(3)) * 6
     assert set(calls.values()) == {1}
+
+
+def test_matching_sweeps_check_each_certificate_once(monkeypatch):
+    checked = []
+    real = verify.check_matching
+
+    def counting(cert):
+        checked.append(cert)
+        return real(cert)
+
+    monkeypatch.setattr(verify, "check_matching", counting)
+    booleans = boolean_permutations(4)
+    assert verify.check_thm5_10(4) == []
+    assert len(checked) == len(booleans) - 1
+    for check, perfect in ((verify.check_lem4_3, True), (verify.check_lem4_4, False)):
+        checked.clear()
+        assert check(4) == []
+        matched = sum(
+            build_matching(v, w).is_perfect == perfect
+            for v in booleans
+            for w in map(Permutation, permutations(range(1, 5)))
+        )
+        assert len(checked) == len({id(c) for c in checked}) == matched
+
+
+def test_matching_sweeps_report_an_invalid_certificate(monkeypatch):
+    real = verify.build_matching
+
+    def dropping(v, w):
+        cert = real(v, w)
+        return MatchingCertificate(cert.steps[1:], cert.over)
+
+    monkeypatch.setattr(verify, "build_matching", dropping)
+    v = Permutation((2, 1, 3))
+    problem = check_matching(dropping(v, v))
+    assert "not covered by any step" in problem
+    assert f"v=2,1,3 w=2,1,3: invalid certificate: {problem}" in verify.check_lem4_3(3)
+    assert f"v=2,1,3: certificate invalid: {problem}" in verify.check_thm5_10(3)
