@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import factorial
@@ -258,7 +259,9 @@ def _first_nonzero_position(
 ) -> int | None:
     """Smallest i < stop_at with nonzero homology at -i of the complex on
     the ideal with sorted indices on, scanning from position 0 and computing
-    ranks lazily."""
+    ranks lazily: it reads dims[i] for i < stop_at and the matrices up to
+    index stop_at, so on may leave out every element below length
+    top_length - stop_at (grade's cut)."""
     c = build_complex(on, top_length, signs)
     prev_rank = 0
     for i in range(min(stop_at, c.top_length + 1)):
@@ -293,6 +296,14 @@ def grade(
     signs.elements, in index order, sets mask[u] = own bit | OR of the masks
     of u's down-covers, which is B(w) /\\ B(u).
 
+    Each scan yields the intersection as a mask over an index-ordered list
+    of elements, so its highest bit is an element of its top length r0 and
+    every position below l(w) - r0 is empty. A u with l(w) - r0 at or above
+    the bound is skipped unbuilt, since its first nonzero position cannot
+    beat the bound. The others are cut to positions 0..bound: elements below
+    length l(w) - bound are left out, since the position scan reads ranks
+    only up to the bound, so only those matrices are filled.
+
     record, if given, maps each u whose complex is built to its first
     nonzero position, when that lies below the bound in force then.
     Raises DegreeMismatchError when signs is not an assignment of S_n for
@@ -313,17 +324,23 @@ def _grade(
     e = Permutation.identity(w.n)
     if w == e:
         return GradeReport(w, 0, e)
+    elements = signs.elements
     top = signs.index[w.images]
     scan = _boolean_scan if signs.masks.own[top] else _ideal_scan
     best = w.length
     witness = e
-    for k, on in scan(signs, top):
+    keep = -1  # the bits of elements at or above length l(w) - best
+    for k, mask, ideal in scan(signs, top):
         if best <= enough:
             break
-        i = _first_nonzero_position(on, w.length, signs, best)
-        u = signs.elements[k]
+        if w.length - elements[ideal[mask.bit_length() - 1]].length >= best:
+            continue
+        i = _first_nonzero_position(_members(mask & keep, ideal), w.length, signs, best)
+        u = elements[k]
         if i is not None and i < best:
             best, witness = i, u
+            cut = bisect_left(ideal, w.length - best, key=lambda j: elements[j].length)
+            keep = -1 << cut
         if record is not None and i is not None:
             record[u] = i
     return GradeReport(w, best, witness)
@@ -389,13 +406,15 @@ def _boolean_masks(signs: SignAssignment) -> _BooleanMasks:
 
 
 def _boolean_scan(signs: SignAssignment, top: int):
-    """(u, sorted indices of B(w) /\\ B(u)) for boolean w = element top, once
-    per distinct intersection, read off each distinct mask at its first
-    index u; u comparable with w or sharing a descent with it is skipped.
-    A later u with the same mask is never visited: its complex is that of
-    the first, which is exact when the first was skipped."""
+    """(u, mask, ideal) for boolean w = element top, once per distinct
+    intersection B(w) /\\ B(u), with bit b of mask standing for ideal[b] and
+    ideal the boolean elements, signs.masks.boolean. Each distinct mask is
+    read off at its first index u; u comparable with w or sharing a descent
+    with it is skipped. A later u with the same mask is never visited: its
+    complex is that of the first, which is exact when the first was
+    skipped."""
     masks = signs.masks
-    own, right, left = masks.own, masks.right, masks.left
+    own, right, left, boolean = masks.own, masks.right, masks.left, masks.boolean
     mw, w_bit, wr, wl = masks.mask[top], own[top], right[top], left[top]
     built: set[int] = set()
     for k, m in masks.distinct:
@@ -404,14 +423,15 @@ def _boolean_scan(signs: SignAssignment, top: int):
         m &= mw
         if m not in built:
             built.add(m)
-            yield k, _members(m, masks.boolean)
+            yield k, m, boolean
 
 
 def _ideal_scan(signs: SignAssignment, top: int):
-    """(u, sorted indices of B(w) /\\ B(u)) for any w = element top, once
-    per distinct intersection, at its first u of S_n in index order, with
-    the masks over B(w) described in grade, kept in one index-ordered list;
-    u comparable with w or sharing a descent with it is skipped."""
+    """(u, mask, ideal) for any w = element top, once per distinct
+    intersection B(w) /\\ B(u), at its first u of S_n in index order, with
+    ideal the sorted indices of B(w) and the masks over it described in
+    grade, kept in one index-ordered list; u comparable with w or sharing a
+    descent with it is skipped."""
     sign, right, left = signs.sign, signs.masks.right, signs.masks.left
     ideal = sorted(_ideal_indices(sign, top))
     bit = {k: b for b, k in enumerate(ideal)}
@@ -428,12 +448,17 @@ def _ideal_scan(signs: SignAssignment, top: int):
             continue
         if mask not in built:
             built.add(mask)
-            yield k, _members(mask, ideal)
+            yield k, mask, ideal
 
 
 def _members(mask: int, ideal: list[int]) -> list[int]:
     """ideal[b] for each bit b set in mask, in bit order."""
-    return [ideal[b] for b, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(ideal[low.bit_length() - 1])
+        mask ^= low
+    return out
 
 
 def _ideal_indices(sign: list[dict[int, int]], top: int) -> set[int]:

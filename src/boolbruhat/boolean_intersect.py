@@ -10,8 +10,9 @@ import enum
 from dataclasses import dataclass
 from itertools import product
 from math import prod
+from operator import le
 
-from .bruhat import RunWord, run_word_leq
+from .bruhat import RunWord
 from .permcore import (
     ENUMERATION_CAP,
     CapExceededError,
@@ -192,7 +193,8 @@ def obstructions(v: Permutation, w: Permutation) -> ObstructionSet:
     if v.n != w.n:
         raise DegreeMismatchError(f"degrees {v.n} and {w.n} differ")
     candidates = _run_candidates(v)
-    below = {r.letters: run_word_leq(r, w) for r in candidates}
+    leq = _run_leq(w)
+    below = {r.letters: leq(r) for r in candidates}
     minimal = [
         r
         for r in candidates
@@ -203,6 +205,32 @@ def obstructions(v: Permutation, w: Permutation) -> ObstructionSet:
         minimal_runs=frozenset(minimal),
         all_j_equal_1=all(r.span <= 1 for r in minimal),
     )
+
+
+def _run_leq(w: Permutation):
+    """A test r -> (the permutation of run r lies below w), the answer of
+    bruhat.run_word_leq, with the sorted prefixes of w built once.
+
+    The run a..a+b moves only the entries at positions a..a+b+1, so its
+    sorted prefixes differ from those of the identity, which lie below
+    every sorted prefix of w, only at the sizes a..a+b. The sorted-prefix
+    criterion (Bjorner-Brenti, Thm 2.6.3) is checked there alone, on the
+    run's one-line tuple.
+    """
+    top = w.images
+    prefixes = [sorted(top[:k]) for k in range(len(top))]
+
+    def leq(r: RunWord) -> bool:
+        a, b = r.start, r.span
+        if r.direction == "increasing":
+            images = (*range(1, a), *range(a + 1, a + b + 2), a)
+        else:
+            images = (*range(1, a), a + b + 1, *range(a, a + b + 1))
+        return all(
+            all(map(le, sorted(images[:k]), prefixes[k])) for k in range(a, a + b + 1)
+        )
+
+    return leq
 
 
 def subword_element(v: Permutation, letters) -> Permutation:

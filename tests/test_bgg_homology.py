@@ -479,3 +479,146 @@ def test_sparse_fill_matches_a_dense_fill():
                 on = sorted(below_w & below_u)
                 c = build_complex(on, w.length, signs)
                 assert (c.dims, c.matrices) == dense(on, w.length, signs), (w, on)
+
+
+# A copy of the grade scan before the prune and the cut: every u of the scan
+# gets its whole complex built, through the module's build_complex and
+# integer_rank, and member lists are read off the masks by a bin() string.
+def _unpruned_first_nonzero_position(on, top_length, signs, stop_at):
+    c = bgg_homology.build_complex(on, top_length, signs)
+    prev_rank = 0
+    for i in range(min(stop_at, c.top_length + 1)):
+        nxt_rank = bgg_homology.integer_rank(c.matrices[i + 1]) if i + 1 <= c.top_length else 0
+        if c.dims[i] - prev_rank - nxt_rank > 0:
+            return i
+        prev_rank = nxt_rank
+    return None
+
+
+def _unpruned_boolean_scan(signs, top):
+    masks = signs.masks
+    own, right, left = masks.own, masks.right, masks.left
+    mw, w_bit, wr, wl = masks.mask[top], own[top], right[top], left[top]
+    built = set()
+    for k, m in masks.distinct:
+        if m & w_bit or own[k] & mw or right[k] & wr or left[k] & wl:
+            continue
+        m &= mw
+        if m not in built:
+            built.add(m)
+            yield k, [masks.boolean[b] for b, c in enumerate(bin(m)[:1:-1]) if c == "1"]
+
+
+def _unpruned_ideal_scan(signs, top):
+    sign, right, left = signs.sign, signs.masks.right, signs.masks.left
+    ideal = sorted(_ideal_indices(sign, top))
+    bit = {k: b for b, k in enumerate(ideal)}
+    w_bit, wr, wl = 1 << bit[top], right[top], left[top]
+    built = set()
+    mask_at = []
+    for k, covers in enumerate(sign):
+        own = bit.get(k)
+        mask = 0 if own is None else 1 << own
+        for j in covers:
+            mask |= mask_at[j]
+        mask_at.append(mask)
+        if own is not None or mask & w_bit or right[k] & wr or left[k] & wl:
+            continue
+        if mask not in built:
+            built.add(mask)
+            yield k, [ideal[b] for b, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
+
+
+def _unpruned_grade(w, signs, record, enough):
+    e = Permutation.identity(w.n)
+    if w == e:
+        return GradeReport(w, 0, e)
+    top = signs.index[w.images]
+    scan = _unpruned_boolean_scan if signs.masks.own[top] else _unpruned_ideal_scan
+    best, witness = w.length, e
+    for k, on in scan(signs, top):
+        if best <= enough:
+            break
+        i = _unpruned_first_nonzero_position(on, w.length, signs, best)
+        u = signs.elements[k]
+        if i is not None and i < best:
+            best, witness = i, u
+        if record is not None and i is not None:
+            record[u] = i
+    return GradeReport(w, best, witness)
+
+
+def _scan_outcomes(grade_fn, elems, signs):
+    """grade, witness, record and is_perfect for each w, by grade_fn in
+    place of _grade."""
+    out = []
+    for w in elems:
+        record = {}
+        report = grade_fn(w, signs, record, 1)
+        perfect = grade_fn(w, signs, None, max(w.length - 1, 1)).grade == w.length
+        out.append((report, record, perfect))
+    return out
+
+
+@pytest.mark.parametrize("flip_roots", [False, True])
+def test_pruned_and_cut_scan_matches_the_unpruned_copy(flip_roots):
+    cases = [(n, all_permutations(n)) for n in (3, 4, 5, 6)]
+    if not flip_roots:
+        cases.append((7, boolean_permutations(7)))
+    for n, elems in cases:
+        signs = build_sign_assignment(n, flip_roots=flip_roots)
+        got = _scan_outcomes(bgg_homology._grade, elems, signs)
+        assert [is_perfect(w, signs) for w in elems] == [p for _, _, p in got]
+        want = _scan_outcomes(_unpruned_grade, elems, signs)
+        for w, g, o in zip(elems, got, want):
+            assert g == o, w
+
+
+def test_grade_builds_only_the_positions_the_scan_reads(monkeypatch):
+    """While grading the booleans of S_6, no basis element handed to
+    build_complex lies below length l(w) - best, and integer_rank is handed
+    as many cells as in the unpruned copy, in fewer calls."""
+    signs = build_sign_assignment(6)
+    booleans = boolean_permutations(6)
+    real_build, real_rank, real_first = (
+        bgg_homology.build_complex,
+        bgg_homology.integer_rank,
+        bgg_homology._first_nonzero_position,
+    )
+    tally = {"cells": 0, "ranks": 0, "filled": 0, "checked": 0}
+    low = []  # l(w) - best, inside a call of _first_nonzero_position
+
+    def first(on, top_length, signs, stop_at):
+        low.append(top_length - stop_at)
+        try:
+            return real_first(on, top_length, signs, stop_at)
+        finally:
+            low.pop()
+
+    def build(on, top_length, signs):
+        if low:
+            tally["checked"] += 1
+            lowest = min(signs.elements[k].length for k in on)
+            assert lowest >= low[-1], (on, top_length, low[-1])
+        c = real_build(on, top_length, signs)
+        tally["filled"] += sum(len(m) * len(m[0]) for m in c.matrices if m)
+        return c
+
+    def rank(rows):
+        tally["ranks"] += 1
+        tally["cells"] += len(rows) * len(rows[0]) if rows else 0
+        return real_rank(rows)
+
+    monkeypatch.setattr(bgg_homology, "build_complex", build)
+    monkeypatch.setattr(bgg_homology, "integer_rank", rank)
+    monkeypatch.setattr(bgg_homology, "_first_nonzero_position", first)
+    got = [grade(w, signs) for w in booleans]
+    pruned = dict(tally)
+    assert pruned["checked"] > 0
+    tally.update(cells=0, ranks=0, filled=0)
+    want = [_unpruned_grade(w, signs, None, 1) for w in booleans]
+    assert got == want
+    assert pruned["cells"] == tally["cells"]
+    assert pruned["ranks"] < tally["ranks"]
+    assert pruned["filled"] < tally["filled"]
+

@@ -5,6 +5,7 @@ import pytest
 from boolbruhat.boolean_intersect import (
     Orientation,
     _run_candidates,
+    _run_leq,
     increasing_pairs,
     interval_components,
     intersection_maximal_closed_form,
@@ -14,10 +15,12 @@ from boolbruhat.boolean_intersect import (
     selfish_count,
     subword_element,
 )
-from boolbruhat.bruhat import bruhat_leq, intersect_ideals, maximal_elements
+from boolbruhat import bruhat
+from boolbruhat.bruhat import bruhat_leq, intersect_ideals, maximal_elements, run_word_leq
 from boolbruhat.permcore import (
     DegreeMismatchError,
     Permutation,
+    all_permutations,
     boolean_permutations,
     canonical_reduced_word,
     parse_permutation,
@@ -227,3 +230,28 @@ def test_closed_form_of_self_intersection_is_the_element():
 
 def test_sampled_closed_form_check_reaches_degree_twelve():
     assert check_cor3_6(12, sample=20, seed=0) == []
+
+
+def test_run_test_agrees_with_run_word_leq():
+    rng = random.Random(38)
+    for n in range(2, 7):
+        everything = all_permutations(n)
+        for v in boolean_permutations(n):
+            candidates = _run_candidates(v)
+            for w in everything if n < 6 else rng.sample(everything, 40):
+                leq = _run_leq(w)
+                for r in candidates:
+                    assert leq(r) == run_word_leq(r, w), (v, w, r)
+
+
+def test_closed_form_does_not_read_the_ideal_walk_test(monkeypatch):
+    """The enumeration side of cor3.6 walks ideals through
+    bruhat._leq_below; the closed form must not share it."""
+    rng = random.Random(6)
+    booleans = boolean_permutations(6)
+    everything = all_permutations(6)
+    pairs = [(rng.choice(booleans), rng.choice(everything)) for _ in range(300)]
+    want = [intersection_maximal_closed_form(v, w) for v, w in pairs]
+    monkeypatch.setattr(bruhat, "_leq_below", lambda w: lambda images, rank: False)
+    assert any(maximal_elements(intersect_ideals(v, w)) != f for (v, w), f in zip(pairs, want))
+    assert [intersection_maximal_closed_form(v, w) for v, w in pairs] == want
