@@ -4,7 +4,8 @@ from __future__ import annotations
 import json
 from bisect import insort
 from dataclasses import dataclass
-from operator import le
+from functools import cached_property
+from operator import attrgetter, le
 from typing import Literal
 
 from .permcore import (
@@ -47,14 +48,26 @@ class RunWord:
 
 @dataclass(frozen=True)
 class BruhatIdeal:
-    """An explicit order ideal of S_n with its internal cover relations."""
+    """An explicit order ideal of S_n: its elements, and its maximal
+    elements, those with no up-cover inside the ideal."""
 
     degree: int
     elements: frozenset[Permutation]
-    covers: tuple[tuple[Permutation, Permutation], ...]
+    maximal: frozenset[Permutation]
 
     def sorted_elements(self) -> list[Permutation]:
         return sorted(self.elements, key=lambda w: (w.length, w.images))
+
+    @cached_property
+    def covers(self) -> tuple[tuple[Permutation, Permutation], ...]:
+        """The covers (x, y), x covered by y, inside the ideal, sorted by
+        (length, lower one-line, upper one-line): listed on first read from
+        each element's one-line down-covers, since the walks list none."""
+        own = {x.images: x for x in self.elements}
+        pairs = [(own[t], y) for y in self.elements
+                 for t in _down_images(y.images) if t in own]
+        pairs.sort(key=lambda p: (p[0].length, p[0].images, p[1].images))
+        return tuple(pairs)
 
 
 def bruhat_leq(u: Permutation, w: Permutation) -> bool:
@@ -137,7 +150,7 @@ def _walk(top: Permutation, leq=None) -> BruhatIdeal:
 
     A boolean top is walked as the subwords of one reduced word
     (_subword_walk), any other top by its covers (_cover_walk); both give
-    the same elements and the same covers in the same order. Raises
+    the same elements and the same maximal elements. Raises
     CapExceededError when B(top) has more than ENUMERATION_CAP elements.
     """
     if top.length == len(support(top)):
@@ -150,38 +163,37 @@ def _cover_walk(top: Permutation, leq=None) -> BruhatIdeal:
 
     The walk runs on one-line tuples, rank by rank downward from top. All
     up-covers of an element lie one rank higher, so they were all expanded
-    before the element is reached: it is kept at once when one of them was
-    kept, and only otherwise asked of leq(images, rank). Without leq every
-    element is kept. The kept set is again an ideal, so its covers are the
-    covers between kept elements. One Permutation is built per kept
-    element, never one per cover, with the walk's rank as its length.
+    before the element is reached, and a flag records whether one of them
+    was kept: the element is then kept at once, and only otherwise asked of
+    leq(images, rank). Without leq every element is kept. The kept set is
+    again an ideal, and its maximal elements are the kept elements whose
+    flag is unset. One Permutation is built per kept element, with the
+    walk's rank as its length.
     """
     rank = top.length
-    level: dict[tuple[int, ...], list] = {top.images: []}
+    level: dict[tuple[int, ...], bool] = {top.images: False}
     walked = 1
-    kept: dict[tuple[int, ...], Permutation] = {}
-    pairs = []
+    kept, maximal = [], []
     while level:
-        under: dict[tuple[int, ...], list] = {}
-        for t, ups in level.items():
-            keep = bool(ups) or leq is None or leq(t, rank)
+        under: dict[tuple[int, ...], bool] = {}
+        for t, kept_up in level.items():
+            keep = kept_up or leq is None or leq(t, rank)
             if keep:
-                kept[t] = Permutation._of_valid(t, rank)
-                pairs += [(rank, t, y) for y in ups]
+                x = Permutation._of_valid(t, rank)
+                kept.append(x)
+                if not kept_up:
+                    maximal.append(x)
             for x in _down_images(t):
-                up = under.get(x)
-                if up is None:
-                    up = under[x] = []
+                if x not in under:
                     walked += 1
                     if walked > ENUMERATION_CAP:
                         raise _cap_error(top)
-                if keep:
-                    up.append(t)
+                    under[x] = keep
+                elif keep:
+                    under[x] = True
         level = under
         rank -= 1
-    pairs.sort()
-    covers = tuple((kept[x], kept[y]) for _rank, x, y in pairs)
-    return BruhatIdeal(top.n, frozenset(kept.values()), covers)
+    return BruhatIdeal(top.n, frozenset(kept), frozenset(maximal))
 
 
 def _subword_walk(top: Permutation, leq=None) -> BruhatIdeal:
@@ -192,10 +204,9 @@ def _subword_walk(top: Permutation, leq=None) -> BruhatIdeal:
     are distinct reduced words and their covers are the single-letter
     deletions. Bit b of a mask stands for letter b + 1 of the word
     (_subword_tuples). Masks are visited in decreasing order, so every
-    up-cover (one more bit) comes first, and the keep rule is _cover_walk's.
-    Sorting the kept masks by (rank, one-line) once puts the covers, as
-    pairs of positions in that order, in _cover_walk's (rank, lower, upper)
-    order.
+    up-cover (one more bit) comes first and has marked the mask when it was
+    kept; the keep rule is _cover_walk's, and a kept mask is maximal when it
+    is unmarked.
     """
     images = list(top.images)
     word = []
@@ -213,32 +224,19 @@ def _subword_walk(top: Permutation, leq=None) -> BruhatIdeal:
     word.reverse()
     tuples = _subword_tuples(tuple(images), word)
     marked = bytearray(1 << k)
-    kept = []
+    kept, maximal = [], []
     for m in range((1 << k) - 1, -1, -1):
         if marked[m] or leq is None or leq(tuples[m], m.bit_count()):
-            kept.append(m)
+            x = Permutation._of_valid(tuples[m], m.bit_count())
+            kept.append(x)
+            if not marked[m]:
+                maximal.append(x)
             bits = m
             while bits:
                 low = bits & -bits
                 bits ^= low
                 marked[m ^ low] = 1
-    kept.sort(key=lambda m: (m.bit_count(), tuples[m]))
-    pos = [0] * (1 << k)
-    for p, m in enumerate(kept):
-        pos[m] = p
-    size = len(kept)
-    keys = []
-    for m in kept:
-        up = pos[m]
-        bits = m
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            keys.append(pos[m ^ low] * size + up)
-    keys.sort()
-    elements = [Permutation._of_valid(tuples[m], m.bit_count()) for m in kept]
-    covers = tuple((elements[c // size], elements[c % size]) for c in keys)
-    return BruhatIdeal(top.n, frozenset(elements), covers)
+    return BruhatIdeal(top.n, frozenset(kept), frozenset(maximal))
 
 
 def _subword_tuples(identity: tuple[int, ...], word: list[int]) -> list[tuple[int, ...]]:
@@ -280,11 +278,8 @@ def intersect_ideals(v: Permutation, w: Permutation) -> BruhatIdeal:
 
 
 def maximal_elements(ideal: BruhatIdeal) -> list[Permutation]:
-    """Elements with no up-cover inside the ideal, in one-line order."""
-    uppers = {x for x, _y in ideal.covers}
-    out = [x for x in ideal.elements if x not in uppers]
-    out.sort(key=lambda w: w.images)
-    return out
+    """The maximal elements of the ideal, in one-line order."""
+    return sorted(ideal.maximal, key=attrgetter("images"))
 
 
 def run_word_leq(r: RunWord, w: Permutation) -> bool:

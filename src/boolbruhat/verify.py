@@ -47,6 +47,7 @@ from .runs_matching import (
     build_matching,
     check_matching,
     optimal_partner,
+    optimal_rank,
     run_decompose,
     slim,
 )
@@ -95,13 +96,13 @@ def check_prop3_5(n: int) -> list[str]:
     bad = []
     everyone = all_permutations(n)
     for v in boolean_permutations(n):
-        below_v = principal_ideal(v).elements
+        below_v = [(x, support(x)) for x in principal_ideal(v).sorted_elements()]
         for w in everyone:
             forbidden = [r.letter_set for r in obstructions(v, w).minimal_runs]
             ideal = intersect_ideals(v, w)
-            for x in below_v:
+            for x, letters in below_v:
                 member = x in ideal.elements
-                predicted = not any(f <= support(x) for f in forbidden)
+                predicted = not any(f <= letters for f in forbidden)
                 if member != predicted:
                     bad.append(
                         f"v={format_permutation(v)} w={format_permutation(w)} "
@@ -233,7 +234,7 @@ def check_prop5_8(n: int) -> list[str]:
     bad = []
     everyone = all_permutations(n)
     for v in boolean_permutations(n):
-        bound = v.length - run_decompose(v).count
+        bound = optimal_rank(v)
         for w in everyone:
             cert = build_matching(v, w)
             problem = check_matching(cert)
@@ -308,7 +309,7 @@ def check_thm5_10(n: int) -> list[str]:
             bad.append(f"v={format_permutation(v)}: certificate invalid: {problem}")
             continue
         singles = cert.singletons()
-        expected = v.length - run_decompose(v).count
+        expected = optimal_rank(v)
         if len(singles) != 1 or singles[0].length != expected:
             bad.append(
                 f"v={format_permutation(v)}: singleton ranks "

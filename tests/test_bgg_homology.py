@@ -470,15 +470,21 @@ def test_sparse_fill_matches_a_dense_fill():
         )
         return tuple(len(b) for b in basis), matrices
 
+    # each ideal whole, and cut as grade cuts it: without the elements
+    # below length l(w) - bound, so the matrix into position bound + 1 has
+    # rows and no columns
     for n, tops in ((4, all_permutations(4)), (5, boolean_permutations(5))):
         signs = build_sign_assignment(n)
         ideals = [_ideal_indices(signs.sign, k) for k in range(len(signs.elements))]
         for w in tops:
             below_w = ideals[signs.index[w.images]]
             for below_u in ideals:
-                on = sorted(below_w & below_u)
-                c = build_complex(on, w.length, signs)
-                assert (c.dims, c.matrices) == dense(on, w.length, signs), (w, on)
+                whole = sorted(below_w & below_u)
+                for bound in range(w.length + 1):
+                    low = w.length - bound
+                    on = [k for k in whole if signs.elements[k].length >= low]
+                    c = build_complex(on, w.length, signs)
+                    assert (c.dims, c.matrices) == dense(on, w.length, signs), (w, on)
 
 
 # A copy of the grade scan before the prune and the cut: every u of the scan

@@ -112,16 +112,18 @@ def test_ideals_and_intersections_match_brute_force_on_s5():
     def expected(members):
         covers = [(x, y) for y in members for x in covered_by[y] if x in members]
         covers.sort(key=lambda p: (p[0].length, p[0].images, p[1].images))
-        return members, tuple(covers)
+        maximal = members - {x for y in members for x in covered_by[y]}
+        return members, maximal, tuple(covers)
 
     for w in elems:
         ideal = principal_ideal(w)
         below_w = {x for x in elems if leq[x, w]}
-        assert (ideal.elements, ideal.covers) == expected(below_w)
+        assert (ideal.elements, ideal.maximal, ideal.covers) == expected(below_w)
         for u in elems:
             part = intersect_ideals(w, u)
             both = {x for x in below_w if leq[x, u]}
-            assert (part.elements, part.covers) == expected(both), (w, u)
+            got = (part.elements, part.maximal, part.covers)
+            assert got == expected(both), (w, u)
             assert all(x.length == Permutation(x.images).length for x in part.elements)
 
 
@@ -186,8 +188,10 @@ def test_intersections_with_boolean_elements_match_brute_force_on_s8():
         ideal = principal_ideal(v)
         members = {x for x in ideal.elements if bruhat_leq(x, w)}
         covers = tuple(p for p in ideal.covers if p[1] in members)
+        maximal = members - {x for y in members for x in down_covers(y)}
         part = intersect_ideals(v, w)
         assert part.elements == members, (v, w)
+        assert part.maximal == maximal, (v, w)
         assert part.covers == covers, (v, w)
         assert intersect_ideals(w, v).covers == covers
 
@@ -213,6 +217,27 @@ def test_maximal_elements_have_no_internal_up_cover():
         assert any(bruhat_leq(x, m) for m in maxima)
 
 
+def test_the_pairs_path_lists_no_covers():
+    # the cor3.6 maxima and a checked matching read an ideal's elements and
+    # maxima only; the covers are listed only when something reads them
+    from boolbruhat.boolean_intersect import intersection_maximal_closed_form
+    from boolbruhat.runs_matching import build_matching, check_matching
+
+    rng = random.Random(36)
+    booleans = boolean_permutations(6)
+    elems = all_permutations(6)
+    for _ in range(60):
+        v, w = rng.choice(booleans), rng.choice(elems)
+        ideal = intersect_ideals(v, w)
+        assert maximal_elements(ideal) == intersection_maximal_closed_form(v, w)
+        cert = build_matching(v, w)
+        assert check_matching(cert) is None
+        for walked in (ideal, cert.over):
+            assert "covers" not in walked.__dict__, (v, w)
+    assert ideal.covers is ideal.covers
+    assert "covers" in ideal.__dict__
+
+
 def test_run_word_letters_and_comparison():
     r = RunWord(2, 2, "decreasing")
     assert r.letters == (4, 3, 2)
@@ -235,7 +260,7 @@ def test_exports_mention_every_element():
 def _same_ideal(got, want):
     return (
         got.elements == want.elements
-        and got.covers == want.covers
+        and got.maximal == want.maximal
         and ideal_to_json(got) == ideal_to_json(want)
     )
 
@@ -251,7 +276,7 @@ def test_subword_walk_matches_the_cover_walk_on_s5_and_s6():
             if is_boolean(small):
                 assert _same_ideal(got, want), (v, w)
             else:
-                assert (got.elements, got.covers) == (want.elements, want.covers)
+                assert (got.elements, got.maximal) == (want.elements, want.maximal)
     for v in boolean_permutations(6):
         assert _same_ideal(principal_ideal(v), bruhat._cover_walk(v)), v
 

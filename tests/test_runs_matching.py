@@ -291,7 +291,7 @@ def test_checker_rejects_an_ideal_that_is_not_down_closed():
     cut = BruhatIdeal(
         ideal.degree,
         ideal.elements - {e},
-        tuple(p for p in ideal.covers if e not in p),
+        ideal.maximal,
     )
     steps = tuple(
         Singleton(s.upper) if s is bottom else s for s in cert.steps
