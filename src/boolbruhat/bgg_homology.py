@@ -81,15 +81,16 @@ def _cover_count(n: int) -> int:
     return sum(factorial(n) // (d + 1) * (n - d) for d in range(1, n))
 
 
-def build_sign_assignment(n: int, *, flip_roots: bool = False) -> SignAssignment:
-    """Assign +-1 to every cover of S_n, rank by rank; built once per
-    (n, flip_roots).
+def build_sign_assignment(n: int) -> SignAssignment:
+    """Assign +-1 to every cover of S_n, rank by rank; built once per n.
 
-    Within a rank, the diamond conditions couple the down-edges of each top
-    element z through already-fixed lower edges; each coupling component is
-    solved by breadth-first parity propagation from its smallest member.
-    flip_roots starts every component at -1 instead, producing a second
-    valid assignment for invariance tests. Raises CapExceededError, before
+    Each element k is signed in one left-to-right pass over its down-covers
+    in increasing index order: the first gets +1, and each later one gets
+    the sign forced by its diamonds with the earlier ones, whose lower edges
+    are already signed. Every pair of down-edges is tested, so every diamond
+    is checked. Raises AssertionError when two diamonds force different
+    signs, or when a later down-cover shares no diamond with an earlier one
+    (which no element of S_n, n <= 8, has). Raises CapExceededError, before
     enumerating S_n, when S_n has more than ENUMERATION_CAP covers, so
     n <= 8 is served.
     """
@@ -98,45 +99,38 @@ def build_sign_assignment(n: int, *, flip_roots: bool = False) -> SignAssignment
         raise CapExceededError(
             f"S_{n} has {covers} covers, more than the cap {ENUMERATION_CAP}"
         )
-    return _build_sign_assignment(n, flip_roots)
+    return _build_sign_assignment(n)
 
 
 @lru_cache(maxsize=8)
-def _build_sign_assignment(n: int, flip_roots: bool) -> SignAssignment:
-    root = -1 if flip_roots else 1
+def _build_sign_assignment(n: int) -> SignAssignment:
     elements = all_permutations(n)
     index = {x.images: k for k, x in enumerate(elements)}
     sign: list[dict[int, int]] = []
     for k, x in enumerate(elements):
         dk = sorted(index[t] for t in _down_images(x.images))
-        # links[a]: (b, parity) for each b whose edge to k shares a diamond
-        # with the edge from dk[a]; the sign of dk[b] is parity times dk[a]'s
-        links: list[list[tuple[int, int]]] = [[] for _ in dk]
-        for a, j1 in enumerate(dk):
-            s1 = sign[j1]
-            for b in range(a + 1, len(dk)):
-                s2 = sign[dk[b]]
+        value: list[int] = []
+        for j2 in dk:
+            s2 = sign[j2]
+            # the first down-cover gets +1; 0 marks a sign not yet forced
+            forced = 0 if value else 1
+            for j1, v in zip(dk, value):
+                s1 = sign[j1]
                 for i in s1.keys() & s2.keys():
-                    parity = -s1[i] * s2[i]
-                    links[a].append((b, parity))
-                    links[b].append((a, parity))
-        value = [0] * len(dk)
-        for a in range(len(dk)):
-            if value[a]:
-                continue
-            value[a] = root
-            queue = [a]
-            while queue:
-                cur = queue.pop()
-                for other, parity in links[cur]:
-                    want = value[cur] * parity
-                    if not value[other]:
-                        value[other] = want
-                        queue.append(other)
-                    elif value[other] != want:
+                    # the four signs of the diamond over i multiply to -1
+                    want = -v * s1[i] * s2[i]
+                    if not forced:
+                        forced = want
+                    elif forced != want:
                         raise AssertionError(
                             f"inconsistent diamond system below {elements[k]!r}"
                         )
+            if not forced:
+                raise AssertionError(
+                    f"down-cover {elements[j2]!r} of {elements[k]!r} shares "
+                    "no diamond with an earlier one"
+                )
+            value.append(forced)
         sign.append(dict(zip(dk, value)))
     return SignAssignment(n, elements, index, sign)
 

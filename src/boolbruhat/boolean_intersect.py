@@ -254,15 +254,9 @@ def subword_element(v: Permutation, letters) -> Permutation:
 
 def _pair_chains(pairs) -> list[tuple[int, ...]]:
     """Group conflicting pairs {k, k+1} into maximal chains of consecutive
-    pairs; each chain covers an integer interval."""
-    starts = sorted(min(p) for p in pairs)
-    chains: list[list[int]] = []
-    for a in starts:
-        if chains and a <= chains[-1][-1]:
-            chains[-1].append(a + 1)
-        else:
-            chains.append([a, a + 1])
-    return [tuple(c) for c in chains]
+    pairs; each chain covers an integer interval: a maximal interval of
+    consecutive smaller letters, plus one letter."""
+    return [(*c, c[-1] + 1) for c in interval_components(min(p) for p in pairs)]
 
 
 def intersection_maximal_closed_form(

@@ -123,14 +123,12 @@ def slim(s: ReducedWord, i: int) -> Permutation:
     each remaining letter only when the length goes up."""
     if not 1 <= i <= len(s):
         raise ValueError(f"position {i} out of range for word of length {len(s)}")
-    u = Permutation.identity(s.degree)
+    images = list(range(1, s.degree + 1))
     for pos, letter in enumerate(s.letters, start=1):
-        if pos == i:
-            continue
-        nxt = u.right_simple(letter)
-        if nxt.length > u.length:
-            u = nxt
-    return u
+        # right multiplication by s_a raises the length iff u(a) < u(a+1)
+        if pos != i and images[letter - 1] < images[letter]:
+            images[letter - 1], images[letter] = images[letter], images[letter - 1]
+    return Permutation(images)
 
 
 def optimal_partner(v: Permutation) -> Permutation:
@@ -167,7 +165,7 @@ def _match_family(family: frozenset[frozenset[int]]) -> list[tuple]:
     """
     if family == {frozenset()}:
         return [("singleton", frozenset())]
-    m = max(x for t in family for x in t)
+    m = max(frozenset().union(*family))
     pairs = []
     unmatched = set()
     for t in family:

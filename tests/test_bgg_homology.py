@@ -102,11 +102,10 @@ def test_down_lists_are_the_sorted_cover_indices():
 
 
 def test_single_cover_sign_is_the_root_value():
+    # the first down-cover of each element, here the only one, gets +1
     signs = build_sign_assignment(2)
     e, s = Permutation.identity(2), Permutation((2, 1))
     assert signs.sign[signs.index[s.images]] == {signs.index[e.images]: 1}
-    flipped = build_sign_assignment(2, flip_roots=True)
-    assert flipped.sign[flipped.index[s.images]] == {flipped.index[e.images]: -1}
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -114,10 +113,11 @@ def test_generated_assignment_has_no_diamond_violations(n):
     assert diamond_violations(build_sign_assignment(n)) == []
 
 
-def _reference_signs(n, flip_roots):
+def _reference_signs(n):
     """The sign solve as first written: diamonds found by tuple membership,
-    constraints held in dicts keyed by element index."""
-    root = -1 if flip_roots else 1
+    constraints held in dicts keyed by element index, and each coupling
+    component solved by breadth-first propagation from +1 at its smallest
+    member."""
     elements = all_permutations(n)
     index = {x.images: k for k, x in enumerate(elements)}
     down = [
@@ -142,7 +142,7 @@ def _reference_signs(n, flip_roots):
         for j in dk:
             if j in value:
                 continue
-            value[j] = root
+            value[j] = 1
             queue = [j]
             while queue:
                 cur = queue.pop()
@@ -159,11 +159,10 @@ def _reference_signs(n, flip_roots):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_sign_solve_matches_the_reference_solve(n):
-    for flip_roots in (False, True):
-        signs = build_sign_assignment(n, flip_roots=flip_roots)
-        want = _reference_signs(n, flip_roots)
-        assert signs.sign == want
-        assert [list(s) for s in signs.sign] == [list(s) for s in want]
+    signs = build_sign_assignment(n)
+    want = _reference_signs(n)
+    assert signs.sign == want
+    assert [list(s) for s in signs.sign] == [list(s) for s in want]
 
 
 def test_inconsistent_diamond_system_raises(monkeypatch):
@@ -178,7 +177,24 @@ def test_inconsistent_diamond_system_raises(monkeypatch):
 
     monkeypatch.setattr(bgg_homology, "_down_images", extra_cover)
     with pytest.raises(AssertionError, match="inconsistent diamond system"):
-        bgg_homology._build_sign_assignment.__wrapped__(4, False)
+        bgg_homology._build_sign_assignment.__wrapped__(4)
+
+
+def test_down_cover_with_no_diamond_to_an_earlier_one_raises(monkeypatch):
+    # s3 s4 s3 in S_5 given the extra down-cover s1 s2, which sorts after
+    # its two real down-covers and shares no lower cover with either
+    real = bruhat._down_images
+
+    def extra_cover(images):
+        yield from real(images)
+        if images == (1, 2, 5, 4, 3):
+            yield (2, 3, 1, 4, 5)
+
+    monkeypatch.setattr(bgg_homology, "_down_images", extra_cover)
+    with pytest.raises(AssertionError, match="shares no diamond") as raised:
+        bgg_homology._build_sign_assignment.__wrapped__(5)
+    assert repr(Permutation((2, 3, 1, 4, 5))) in str(raised.value)
+    assert repr(Permutation((1, 2, 5, 4, 3))) in str(raised.value)
 
 
 def test_cover_count_matches_the_built_assignment():
@@ -196,9 +212,9 @@ def test_degree_cap(monkeypatch):
         build_sign_assignment(9)
 
 
-def test_sign_assignment_is_built_once_per_degree_and_root_choice(monkeypatch):
+def test_sign_assignment_is_built_once_per_degree(monkeypatch):
     first = build_sign_assignment(3)
-    assert build_sign_assignment(3, flip_roots=False) is first
+    assert build_sign_assignment(3) is first
     with pytest.raises(TypeError):
         build_sign_assignment(3, 7)
     build_sign_assignment(4)
@@ -354,12 +370,31 @@ def test_thm7_2_check_reports_a_wrong_grade(monkeypatch):
     assert len(check_thm7_2(3)) == 3
 
 
-def test_grades_do_not_depend_on_the_root_choice():
-    for n in (3, 4):
+def _gauged(signs, rng):
+    """signs with the sign of each cover j < k multiplied by g(k) g(j), for
+    a random g: S_n -> {+-1}; a valid assignment whose matrices differ from
+    the plain ones by a different row and column sign pattern per complex."""
+    g = [rng.choice((-1, 1)) for _ in signs.elements]
+    sign = [
+        {j: g[k] * g[j] * s for j, s in covers.items()}
+        for k, covers in enumerate(signs.sign)
+    ]
+    return SignAssignment(signs.degree, signs.elements, signs.index, sign)
+
+
+def test_grades_do_not_change_under_a_gauge_change():
+    cases = [(n, all_permutations(n)) for n in (3, 4, 5, 6)]
+    cases.append((7, boolean_permutations(7)))
+    for n, elems in cases:
         plain = build_sign_assignment(n)
-        flipped = build_sign_assignment(n, flip_roots=True)
-        for w in all_permutations(n):
-            assert grade(w, plain).grade == grade(w, flipped).grade
+        gauged = _gauged(plain, random.Random(n))
+        assert gauged.sign != plain.sign
+        assert diamond_violations(gauged) == []
+        for w in elems:
+            want, got = {}, {}
+            assert grade(w, gauged, got) == grade(w, plain, want), w
+            assert got == want, w
+            assert is_perfect(w, gauged) == is_perfect(w, plain), w
 
 
 def test_longest_parabolic_recognition():
@@ -370,12 +405,11 @@ def test_longest_parabolic_recognition():
     assert not is_longest_parabolic_element(Permutation((1, 2, 4, 3, 5)).inverse() * Permutation((1, 3, 2, 4, 5)))
 
 
-@pytest.mark.parametrize("flip_roots", [False, True])
-def test_boolean_scan_matches_the_per_w_pass(monkeypatch, flip_roots):
+def test_boolean_scan_matches_the_per_w_pass(monkeypatch):
     """The distinct-mask scan of boolean w against the per-w pass over all
     of S_n, which serves every other w: same grade, witness and record."""
     for n in range(4, 8):
-        signs = build_sign_assignment(n, flip_roots=flip_roots)
+        signs = build_sign_assignment(n)
         booleans = boolean_permutations(n)
         fast = []
         for w in booleans:
@@ -450,7 +484,7 @@ def test_boolean_masks_are_built_by_the_first_grade_not_the_sign_build(monkeypat
         return real(signs)
 
     monkeypatch.setattr(bgg_homology, "_boolean_masks", counting)
-    signs = bgg_homology._build_sign_assignment.__wrapped__(4, False)
+    signs = bgg_homology._build_sign_assignment.__wrapped__(4)
     assert calls == [] and "masks" not in vars(signs)
     grade(Permutation((2, 1, 3, 4)), signs)
     grade(Permutation((4, 3, 2, 1)), signs)
@@ -566,13 +600,11 @@ def _scan_outcomes(grade_fn, elems, signs):
     return out
 
 
-@pytest.mark.parametrize("flip_roots", [False, True])
-def test_pruned_and_cut_scan_matches_the_unpruned_copy(flip_roots):
+def test_pruned_and_cut_scan_matches_the_unpruned_copy():
     cases = [(n, all_permutations(n)) for n in (3, 4, 5, 6)]
-    if not flip_roots:
-        cases.append((7, boolean_permutations(7)))
+    cases.append((7, boolean_permutations(7)))
     for n, elems in cases:
-        signs = build_sign_assignment(n, flip_roots=flip_roots)
+        signs = build_sign_assignment(n)
         got = _scan_outcomes(bgg_homology._grade, elems, signs)
         assert [is_perfect(w, signs) for w in elems] == [p for _, _, p in got]
         want = _scan_outcomes(_unpruned_grade, elems, signs)
