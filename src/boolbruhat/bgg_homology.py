@@ -135,30 +135,20 @@ def _build_sign_assignment(n: int) -> SignAssignment:
     return SignAssignment(n, elements, index, sign)
 
 
-def _diamonds(sign: list[dict[int, int]]):
-    """Each index k with the diamonds (j1, j2, i) below it: j1 < j2 both
-    covered by k and both covering i, in increasing order of the cover
-    indices, whatever the order of the keys of sign."""
-    for k, covers in enumerate(sign):
-        dk = sorted(covers)
-        yield k, [
-            (j1, j2, i)
-            for a, j1 in enumerate(dk)
-            for j2 in dk[a + 1 :]
-            for i in sorted(sign[j1])
-            if i in sign[j2]
-        ]
-
-
 def diamond_violations(signs: SignAssignment) -> list[tuple[Permutation, Permutation]]:
     """Length-2 intervals [x, z] whose four edge signs do not multiply to -1,
-    over the covers recorded as the keys of signs.sign."""
+    over the covers recorded as the keys of signs.sign: for each z in index
+    order, the diamonds (j1, j2, x) below it with j1 < j2 and x in
+    increasing index order, whatever the order of the keys of sign."""
     sign, elements = signs.sign, signs.elements
     bad = []
-    for k, diamonds in _diamonds(sign):
-        for j1, j2, i in diamonds:
-            if sign[j1][i] * sign[k][j1] * sign[j2][i] * sign[k][j2] != -1:
-                bad.append((elements[i], elements[k]))
+    for k, covers in enumerate(sign):
+        dk = sorted(covers)
+        for a, j1 in enumerate(dk):
+            for j2 in dk[a + 1 :]:
+                for i in sorted(sign[j1].keys() & sign[j2].keys()):
+                    if sign[j1][i] * sign[k][j1] * sign[j2][i] * sign[k][j2] != -1:
+                        bad.append((elements[i], elements[k]))
     return bad
 
 
@@ -273,30 +263,8 @@ def grade(
     on B(w) /\\ B(u), with the first u in (length, one-line) order that
     reaches it as witness.
 
-    u comparable with w is skipped (exact complex) except the identity, which
-    supplies the l(w) baseline; u sharing a left or right descent with w is
-    skipped for the same reason, and so is a u whose intersection was already
-    seen, since its complex, and so its position, is the same. Bruhat order
-    is read from the keys of signs.sign alone, and each complex is filled
-    from the sparse signs of its covers.
-
-    Boolean w: every element below w is boolean, so B(w) /\\ B(u) is the AND
-    of two bitmasks over the boolean elements of S_n, built in one pass per
-    sign assignment as signs.masks (by the first grade call, not by
-    build_sign_assignment).
-    The scan visits each distinct mask once, at the first u that has it;
-    a later u with the same mask has the same complex. Other w: B(w) is
-    walked down from w, each of its elements gets a bit, and one pass over
-    signs.elements, in index order, sets mask[u] = own bit | OR of the masks
-    of u's down-covers, which is B(w) /\\ B(u).
-
-    Each scan yields the intersection as a mask over an index-ordered list
-    of elements, so its highest bit is an element of its top length r0 and
-    every position below l(w) - r0 is empty. A u with l(w) - r0 at or above
-    the bound is skipped unbuilt, since its first nonzero position cannot
-    beat the bound. The others are cut to positions 0..bound: elements below
-    length l(w) - bound are left out, since the position scan reads ranks
-    only up to the bound, so only those matrices are filled.
+    Bruhat order is read from the keys of signs.sign alone, and each
+    complex is filled from the sparse signs of its covers.
 
     record, if given, maps each u whose complex is built to its first
     nonzero position, when that lies below the bound in force then.
@@ -310,7 +278,15 @@ def _grade(
     w: Permutation, signs: SignAssignment, record: dict | None, enough: int
 ) -> GradeReport:
     """grade, stopping the u-scan once the bound falls to enough or below:
-    the report then holds the first u in scan order that reached it."""
+    the report then holds the first u in scan order that reached it.
+
+    The u and their intersections come from _scan; the identity, which it
+    skips, supplies the l(w) baseline. A u whose intersection tops out at
+    length r0 with l(w) - r0 at or above the bound is skipped unbuilt,
+    since its first nonzero position cannot beat the bound. The others are
+    cut to positions 0..bound: elements below length l(w) - bound are left
+    out, since the position scan reads ranks only up to the bound, so only
+    those matrices are filled."""
     if signs.degree != w.n:
         raise DegreeMismatchError(
             f"sign assignment of degree {signs.degree} for w in S_{w.n}"
@@ -319,12 +295,10 @@ def _grade(
     if w == e:
         return GradeReport(w, 0, e)
     elements = signs.elements
-    top = signs.index[w.images]
-    scan = _boolean_scan if signs.masks.own[top] else _ideal_scan
     best = w.length
     witness = e
     keep = -1  # the bits of elements at or above length l(w) - best
-    for k, mask, ideal in scan(signs, top):
+    for k, mask, ideal in _scan(signs, signs.index[w.images]):
         if best <= enough:
             break
         if w.length - elements[ideal[mask.bit_length() - 1]].length >= best:
@@ -343,15 +317,14 @@ def _grade(
 @dataclass(frozen=True, eq=False)
 class _BooleanMasks:
     """One pass over a sign assignment's elements, in index order. Bit b
-    stands for the b-th boolean element, boolean[b] is its index, own[k] is
-    element k's own bit (0 when it is not boolean), and mask[k] is own[k]
-    ORed with the masks of k's down-covers: the boolean elements below k.
-    distinct holds (first index k, mask[k]) for each distinct mask, in index
-    order. right[k] and left[k] have bit i set for each right (left) descent
-    s_{i+1} of element k."""
+    stands for the b-th boolean element, boolean[b] is its index, and
+    mask[k] is the OR of the masks of k's down-covers, with k's own bit when
+    k is boolean: the boolean elements below k. So k is boolean exactly when
+    the highest bit of mask[k] is its own. distinct holds (first index k,
+    mask[k]) for each distinct mask, in index order. right[k] and left[k]
+    have bit i set for each right (left) descent s_{i+1} of element k."""
 
     boolean: list[int]
-    own: list[int]
     mask: list[int]
     distinct: list[tuple[int, int]]
     right: list[int]
@@ -366,7 +339,6 @@ def _boolean_masks(signs: SignAssignment) -> _BooleanMasks:
     n = signs.degree
     letters = (1 << n) - 2
     boolean: list[int] = []
-    own: list[int] = []
     mask: list[int] = []
     first: dict[int, int] = {}
     right: list[int] = []
@@ -375,13 +347,11 @@ def _boolean_masks(signs: SignAssignment) -> _BooleanMasks:
         below = 0
         for j in signs.sign[k]:
             below |= mask[j]
-        bit = 0
         if x.length < 2 or (below & letters).bit_count() == x.length:
-            bit = 1 << len(boolean)
+            below |= 1 << len(boolean)
             boolean.append(k)
-        own.append(bit)
-        mask.append(below | bit)
-        first.setdefault(below | bit, k)
+        mask.append(below)
+        first.setdefault(below, k)
         # descents as bitmasks, without a frozenset per element of S_n
         img = x.images
         position = [0] * n
@@ -396,53 +366,64 @@ def _boolean_masks(signs: SignAssignment) -> _BooleanMasks:
         right.append(r)
         left.append(l)
     distinct = [(k, m) for m, k in first.items()]
-    return _BooleanMasks(boolean, own, mask, distinct, right, left)
+    return _BooleanMasks(boolean, mask, distinct, right, left)
 
 
-def _boolean_scan(signs: SignAssignment, top: int):
-    """(u, mask, ideal) for boolean w = element top, once per distinct
-    intersection B(w) /\\ B(u), with bit b of mask standing for ideal[b] and
-    ideal the boolean elements, signs.masks.boolean. Each distinct mask is
-    read off at its first index u; u comparable with w or sharing a descent
-    with it is skipped. A later u with the same mask is never visited: its
-    complex is that of the first, which is exact when the first was
-    skipped."""
+def _scan(signs: SignAssignment, top: int):
+    """(u, mask, ideal) for w = element top, once per distinct intersection
+    B(w) /\\ B(u) that grade builds, at its first u in index order. ideal is
+    an index-ordered list of elements and bit b of mask stands for ideal[b],
+    so the highest bit of mask is an element of the intersection's top
+    length.
+
+    The only branch picks the masks. A boolean w, the highest boolean
+    element below itself, has only boolean elements below it, so ideal is
+    signs.masks.boolean and the intersection is the AND of the precomputed
+    masks of u and w; only the first u of each distinct mask is visited,
+    since a later one has the same complex. Any other w has ideal the
+    sorted indices of B(w), walked down from w, and _ideal_masks gives every
+    u its mask over it in one pass over S_n.
+
+    Comparability is read off the intersection m itself: w <= u exactly
+    when m is all of w's mask, and u <= w exactly when u is the highest
+    element of m, since every element below u precedes it in index order.
+    Those u, and u sharing a right or left descent with w, have exact
+    complexes and are skipped."""
     masks = signs.masks
-    own, right, left, boolean = masks.own, masks.right, masks.left, masks.boolean
-    mw, w_bit, wr, wl = masks.mask[top], own[top], right[top], left[top]
+    right, left = masks.right, masks.left
+    if masks.boolean[masks.mask[top].bit_length() - 1] == top:
+        ideal, source, mw = masks.boolean, masks.distinct, masks.mask[top]
+    else:
+        ideal = sorted(_ideal_indices(signs.sign, top))
+        source, mw = _ideal_masks(signs.sign, ideal), (1 << len(ideal)) - 1
+    wr, wl = right[top], left[top]
     built: set[int] = set()
-    for k, m in masks.distinct:
-        if m & w_bit or own[k] & mw or right[k] & wr or left[k] & wl:
-            continue
+    for k, m in source:
         m &= mw
-        if m not in built:
-            built.add(m)
-            yield k, m, boolean
+        if (
+            m == mw
+            or ideal[m.bit_length() - 1] == k
+            or right[k] & wr
+            or left[k] & wl
+            or m in built
+        ):
+            continue
+        built.add(m)
+        yield k, m, ideal
 
 
-def _ideal_scan(signs: SignAssignment, top: int):
-    """(u, mask, ideal) for any w = element top, once per distinct
-    intersection B(w) /\\ B(u), at its first u of S_n in index order, with
-    ideal the sorted indices of B(w) and the masks over it described in
-    grade, kept in one index-ordered list; u comparable with w or sharing a
-    descent with it is skipped."""
-    sign, right, left = signs.sign, signs.masks.right, signs.masks.left
-    ideal = sorted(_ideal_indices(sign, top))
-    bit = {k: b for b, k in enumerate(ideal)}
-    w_bit, wr, wl = 1 << bit[top], right[top], left[top]
-    built: set[int] = set()
+def _ideal_masks(sign: list[dict[int, int]], ideal: list[int]):
+    """(k, mask) for every index k in order, bit b of mask set for each
+    ideal[b] below element k: k's own bit, if ideal holds k, ORed with the
+    masks of k's down-covers."""
+    bit = {k: 1 << b for b, k in enumerate(ideal)}
     mask_at: list[int] = []
     for k, covers in enumerate(sign):
-        own = bit.get(k)
-        mask = 0 if own is None else 1 << own
+        mask = bit.get(k, 0)
         for j in covers:
             mask |= mask_at[j]
         mask_at.append(mask)
-        if own is not None or mask & w_bit or right[k] & wr or left[k] & wl:
-            continue
-        if mask not in built:
-            built.add(mask)
-            yield k, mask, ideal
+        yield k, mask
 
 
 def _members(mask: int, ideal: list[int]) -> list[int]:

@@ -95,12 +95,11 @@ def cmd_intersect(args) -> int:
     w = _read_element(args, args.w)
     mode = args.mode
     closed = enumerated = ideal = None
-    if mode != "closed-form" or args.fmt == "dot":
+    if mode != "closed-form":
         ideal = intersect_ideals(v, w)
+        enumerated = maximal_elements(ideal)
     if mode != "enumerate":
         closed = intersection_maximal_closed_form(v, w)
-    if mode != "closed-form":
-        enumerated = maximal_elements(ideal)
     chosen = closed if closed is not None else enumerated
     if args.fmt == "json":
         print(json.dumps({"maximal": [format_permutation(x) for x in chosen]}, indent=2))
@@ -328,6 +327,8 @@ def main(argv=None) -> int:
         parser.error("--rw-degree applies only with --rw")
     if args.fmt != "text" and args.fmt not in FORMATS.get(command, ()):
         parser.error(f"{command} does not print --format {args.fmt}")
+    if command == "intersect" and args.fmt == "dot" and args.mode == "closed-form":
+        parser.error("intersect --format dot draws the enumerated ideal, not --closed-form")
     if args.seed is not None and getattr(args, "sample", None) is None:
         parser.error("--seed applies only to verify with --sample")
     if args.command == "verify":

@@ -32,6 +32,7 @@ from boolbruhat.permcore import (
     all_permutations,
     boolean_permutations,
     descents,
+    is_boolean,
 )
 from boolbruhat.rs_afunction import YoungShape, a_function, longest_parabolic_element
 from boolbruhat.verify import check_thm7_2
@@ -405,43 +406,39 @@ def test_longest_parabolic_recognition():
     assert not is_longest_parabolic_element(Permutation((1, 2, 4, 3, 5)).inverse() * Permutation((1, 3, 2, 4, 5)))
 
 
-def test_boolean_scan_matches_the_per_w_pass(monkeypatch):
-    """The distinct-mask scan of boolean w against the per-w pass over all
-    of S_n, which serves every other w: same grade, witness and record."""
+def test_boolean_scan_matches_the_per_w_pass():
+    """grade on boolean w, which reads the distinct precomputed masks,
+    against the unpruned copy forced onto the per-w pass over all of S_n,
+    which serves every other w: same grade, witness and record."""
     for n in range(4, 8):
         signs = build_sign_assignment(n)
-        booleans = boolean_permutations(n)
-        fast = []
-        for w in booleans:
-            record = {}
-            fast.append((grade(w, signs, record), record))
-        perfect = [is_perfect(w, signs) for w in booleans] if n <= 6 else None
-        with monkeypatch.context() as m:
-            m.setattr(bgg_homology, "_boolean_scan", bgg_homology._ideal_scan)
-            for w, (report, record) in zip(booleans, fast):
-                slow = {}
-                assert grade(w, signs, slow) == report, w
-                assert slow == record, w
-            if perfect is not None:
-                assert [is_perfect(w, signs) for w in booleans] == perfect
+        for w in boolean_permutations(n):
+            got, want = {}, {}
+            report = grade(w, signs, got)
+            assert report == _unpruned_grade(w, signs, want, 1, _unpruned_ideal_scan), w
+            assert got == want, w
 
 
-def test_only_boolean_w_take_the_distinct_mask_scan(monkeypatch):
+def test_only_non_boolean_w_walk_their_ideal(monkeypatch):
     signs = build_sign_assignment(4)
 
     def forbidden(*args):
-        raise AssertionError("wrong scan")
+        raise AssertionError("ideal walked")
 
+    monkeypatch.setattr(bgg_homology, "_ideal_indices", forbidden)
     boolean, other = Permutation((2, 3, 1, 4)), Permutation((3, 2, 1, 4))
-    with monkeypatch.context() as m:
-        m.setattr(bgg_homology, "_ideal_scan", forbidden)
-        assert grade(boolean, signs).grade == 1
-        with pytest.raises(AssertionError, match="wrong scan"):
-            grade(other, signs)
-    monkeypatch.setattr(bgg_homology, "_boolean_scan", forbidden)
-    assert grade(other, signs).grade == 3
-    with pytest.raises(AssertionError, match="wrong scan"):
-        grade(boolean, signs)
+    assert grade(boolean, signs).grade == 1
+    with pytest.raises(AssertionError, match="ideal walked"):
+        grade(other, signs)
+
+
+def test_non_boolean_grades_of_s7_match_the_unpruned_copy():
+    signs = build_sign_assignment(7)
+    others = [w for w in signs.elements if not is_boolean(w)]
+    for w in random.Random(7).sample(others, 16):
+        got, want = {}, {}
+        assert grade(w, signs, got) == _unpruned_grade(w, signs, want, 1), w
+        assert got == want, w
 
 
 def test_boolean_masks_are_the_intersections_with_boolean_ideals():
@@ -455,7 +452,10 @@ def test_boolean_masks_are_the_intersections_with_boolean_ideals():
         masks = signs.masks
         booleans = boolean_permutations(n)
         assert [signs.elements[k] for k in masks.boolean] == booleans
-        assert [k for k, bit in enumerate(masks.own) if bit] == masks.boolean
+        own_top = [
+            k for k, m in enumerate(masks.mask) if masks.boolean[m.bit_length() - 1] == k
+        ]
+        assert own_top == masks.boolean
         for k, x in enumerate(signs.elements):
             assert masks.right[k] == sum(1 << (i - 1) for i in descents(x, "right"))
             assert masks.left[k] == sum(1 << (i - 1) for i in descents(x, "left"))
@@ -537,7 +537,10 @@ def _unpruned_first_nonzero_position(on, top_length, signs, stop_at):
 
 def _unpruned_boolean_scan(signs, top):
     masks = signs.masks
-    own, right, left = masks.own, masks.right, masks.left
+    right, left = masks.right, masks.left
+    own = [0] * len(signs.elements)
+    for b, k in enumerate(masks.boolean):
+        own[k] = 1 << b
     mw, w_bit, wr, wl = masks.mask[top], own[top], right[top], left[top]
     built = set()
     for k, m in masks.distinct:
@@ -569,12 +572,13 @@ def _unpruned_ideal_scan(signs, top):
             yield k, [ideal[b] for b, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
 
-def _unpruned_grade(w, signs, record, enough):
+def _unpruned_grade(w, signs, record, enough, scan=None):
     e = Permutation.identity(w.n)
     if w == e:
         return GradeReport(w, 0, e)
     top = signs.index[w.images]
-    scan = _unpruned_boolean_scan if signs.masks.own[top] else _unpruned_ideal_scan
+    if scan is None:
+        scan = _unpruned_boolean_scan if is_boolean(w) else _unpruned_ideal_scan
     best, witness = w.length, e
     for k, on in scan(signs, top):
         if best <= enough:

@@ -257,6 +257,7 @@ def test_grade_without_arguments_is_a_usage_error(capsys):
         ["--format", "json", "ork", "5,1,2,3,4"],
         ["--format", "csv", "grade", "2,1"],
         ["--format", "dot", "grade", "2,1"],
+        ["--format", "dot", "intersect", "--closed-form", "2,1,3", "1,3,2"],
         ["--degree-cap", "8", "rs", "2,1"],
         ["--ideal-cap", "5", "rs", "2,1"],
         ["verify", "prop3.3", "--k", "0"],

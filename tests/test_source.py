@@ -1,4 +1,6 @@
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "boolbruhat"
@@ -15,3 +17,32 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_top_level_name_is_read_somewhere():
+    """Each top-level function, class or assigned name of the library occurs
+    at least twice, as a whole word, across the library, the tests and the
+    benchmark: once where it is defined and once where it is read."""
+    root = SRC.parents[1]
+    text = "\n".join(
+        path.read_text()
+        for folder in (SRC, root / "tests", root / "bench")
+        for path in sorted(folder.glob("*.py"))
+    )
+    words = Counter(re.findall(r"\w+", text))
+    names = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(
+                    t.id for target in targets for t in ast.walk(target)
+                    if isinstance(t, ast.Name)
+                )
+    unread = sorted(
+        name for name in names
+        if not (name.startswith("__") and name.endswith("__")) and words[name] < 2
+    )
+    assert names and unread == []
