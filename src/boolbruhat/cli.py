@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 counterexample or disagreement found, 2 usage or
-cap errors.
+cap errors, or a verify sweep that checked no case.
 """
 from __future__ import annotations
 
@@ -180,17 +180,22 @@ def cmd_verify(args) -> int:
     check = THEOREM_CHECKS[args.theorem]
     kwargs = {}
     if args.theorem in K_PARAM_CHECKS:
-        first = args.k if args.k is not None else 15
+        flag, first = "--k", args.k if args.k is not None else 15
     else:
-        first = args.n
+        flag, first = "--n", args.n
     if args.sample is not None:
         kwargs["sample"] = args.sample
     if args.seed is not None:
         kwargs["seed"] = args.seed
-    bad = check(first, **kwargs)
-    if bad:
-        print(f"FAIL {args.theorem}: {len(bad)} counterexample(s)")
-        for line in bad:
+    result = check(first, **kwargs)
+    sized = f"{args.theorem} {flag} {first}"
+    if not result.checked:
+        print(f"error: {sized} checks no case", file=sys.stderr)
+        return 2
+    print(f"{sized}: checked {result.checked} case(s)", file=sys.stderr)
+    if result:
+        print(f"FAIL {args.theorem}: {len(result)} counterexample(s)")
+        for line in result:
             print(f"  {line}")
         return 1
     print(f"PASS {args.theorem}")

@@ -1,13 +1,18 @@
 """Whole-statement verification sweeps.
 
 Each check_* function exhaustively (or by seeded sample) tests one named
-claim and returns a list of human-readable counterexamples, empty on success.
+claim, one case at a time, and yields one verdict per case: a human-readable
+counterexample line when the case fails, a false value when it holds. The
+`sweep` decorator runs it, returns a `Sweep` (the counterexample lines, empty
+on success, and `checked`, the number of cases) and registers it in
+`THEOREM_CHECKS` under the claim's name, check_thm6_8 as "thm6.8".
 Oracles used here recompute results by independent means: reduced-word
 enumeration for orientations, brute-force subset scans for selfish families,
 and a subword closure for slimming.
 """
 from __future__ import annotations
 
+import functools
 import random
 from itertools import combinations
 
@@ -25,6 +30,7 @@ from .boolean_intersect import (
     intersection_maximal_closed_form,
     maximal_selfish,
     obstructions,
+    orientation,
     selfish_count,
 )
 from .bruhat import intersect_ideals, maximal_elements, principal_ideal
@@ -53,18 +59,45 @@ from .runs_matching import (
 )
 
 
-def check_thm2_4(n: int) -> list[str]:
+class Sweep(list):
+    """The counterexample lines of one sweep, and `checked`, the number of
+    cases it judged."""
+
+    def __init__(self, verdicts):
+        super().__init__()
+        self.checked = 0
+        for verdict in verdicts:
+            self.checked += 1
+            if verdict:
+                self.append(verdict)
+
+
+# claim name -> check, filled by `sweep`
+THEOREM_CHECKS = {}
+
+
+def sweep(check):
+    """Make the verdict generator `check` return a `Sweep`, and register it
+    in `THEOREM_CHECKS` under its claim's name."""
+
+    @functools.wraps(check)
+    def run(*args, **kwargs) -> Sweep:
+        return Sweep(check(*args, **kwargs))
+
+    THEOREM_CHECKS[check.__name__.removeprefix("check_").replace("_", ".")] = run
+    return run
+
+
+@sweep
+def check_thm2_4(n: int):
     """The three characterizations of booleanness agree on S_n."""
-    bad = []
     for w in all_permutations(n):
         answers = {
             is_boolean(w),
             is_boolean_by_patterns(w),
             is_boolean_by_words(w),
         }
-        if len(answers) != 1:
-            bad.append(f"characterizations disagree on {format_permutation(w)}")
-    return bad
+        yield len(answers) != 1 and f"characterizations disagree on {format_permutation(w)}"
 
 
 def _brute_maximal_selfish(universe) -> frozenset[frozenset[int]]:
@@ -79,21 +112,24 @@ def _brute_maximal_selfish(universe) -> frozenset[frozenset[int]]:
     )
 
 
-def check_prop3_3(k_max: int) -> list[str]:
-    """Recursion, product construction and brute force agree on Q_k."""
-    bad = []
+@sweep
+def check_prop3_3(k_max: int):
+    """Recursion, product construction and brute force agree on Q_k; the
+    brute force runs for k <= 16."""
     for k in range(1, k_max + 1):
         family = maximal_selfish(range(1, k + 1)).members
-        if len(family) != selfish_count(k):
-            bad.append(f"k={k}: count recursion gives {selfish_count(k)}, family has {len(family)}")
-        if k <= 16 and family != _brute_maximal_selfish(range(1, k + 1)):
-            bad.append(f"k={k}: family differs from brute force")
-    return bad
+        yield len(family) != selfish_count(k) and (
+            f"k={k}: count recursion gives {selfish_count(k)}, family has {len(family)}"
+        )
+        if k <= 16:
+            yield family != _brute_maximal_selfish(range(1, k + 1)) and (
+                f"k={k}: family differs from brute force"
+            )
 
 
-def check_prop3_5(n: int) -> list[str]:
+@sweep
+def check_prop3_5(n: int):
     """Membership in B(v) /\\ B(w) is support avoidance of obstruction runs."""
-    bad = []
     everyone = all_permutations(n)
     for v in boolean_permutations(n):
         below_v = [(x, support(x)) for x in principal_ideal(v).sorted_elements()]
@@ -103,17 +139,15 @@ def check_prop3_5(n: int) -> list[str]:
             for x, letters in below_v:
                 member = x in ideal.elements
                 predicted = not any(f <= letters for f in forbidden)
-                if member != predicted:
-                    bad.append(
-                        f"v={format_permutation(v)} w={format_permutation(w)} "
-                        f"x={format_permutation(x)}: membership {member}, predicted {predicted}"
-                    )
-    return bad
+                yield member != predicted and (
+                    f"v={format_permutation(v)} w={format_permutation(w)} "
+                    f"x={format_permutation(x)}: membership {member}, predicted {predicted}"
+                )
 
 
-def check_cor3_6(n: int, sample: int | None = None, seed: int = 0) -> list[str]:
+@sweep
+def check_cor3_6(n: int, sample: int | None = None, seed: int = 0):
     """Closed-form maximal elements equal the enumerated ones."""
-    bad = []
     booleans = boolean_permutations(n)
     if sample is None:
         everyone = all_permutations(n)
@@ -128,13 +162,11 @@ def check_cor3_6(n: int, sample: int | None = None, seed: int = 0) -> list[str]:
     for v, w in pairs:
         closed = intersection_maximal_closed_form(v, w)
         enumerated = maximal_elements(intersect_ideals(v, w))
-        if closed != enumerated:
-            bad.append(
-                f"v={format_permutation(v)} w={format_permutation(w)}: "
-                f"closed form {[format_permutation(x) for x in closed]} vs "
-                f"enumerated {[format_permutation(x) for x in enumerated]}"
-            )
-    return bad
+        yield closed != enumerated and (
+            f"v={format_permutation(v)} w={format_permutation(w)}: "
+            f"closed form {[format_permutation(x) for x in closed]} vs "
+            f"enumerated {[format_permutation(x) for x in enumerated]}"
+        )
 
 
 def orientation_oracle(w: Permutation, k: int) -> Orientation:
@@ -156,23 +188,19 @@ def orientation_oracle(w: Permutation, k: int) -> Orientation:
     return Orientation.INTERLACED
 
 
-def check_thm3_10(n: int) -> list[str]:
+@sweep
+def check_thm3_10(n: int):
     """One-line-notation orientation equals the reduced-word oracle."""
-    from .boolean_intersect import orientation
-
-    bad = []
     for w in all_permutations(n):
         supp = support(w)
         for k in sorted(supp):
             if k + 1 not in supp:
                 continue
             fast, slow = orientation(w, k), orientation_oracle(w, k)
-            if fast != slow:
-                bad.append(
-                    f"w={format_permutation(w)} k={k}: one-line {fast.value}, "
-                    f"words {slow.value}"
-                )
-    return bad
+            yield fast != slow and (
+                f"w={format_permutation(w)} k={k}: one-line {fast.value}, "
+                f"words {slow.value}"
+            )
 
 
 def _matching_homology_report(
@@ -196,11 +224,10 @@ def _matching_homology_report(
     return None
 
 
-def _matching_sweep(n: int, perfect: bool) -> list[str]:
-    """Homology reports for every (boolean v, w) pair of S_n whose matching
-    is perfect (perfect=True) or almost perfect (perfect=False)."""
+def _matching_sweep(n: int, perfect: bool):
+    """Verdicts for every (boolean v, w) pair of S_n whose matching is
+    perfect (perfect=True) or almost perfect (perfect=False)."""
     signs = build_sign_assignment(n)
-    bad = []
     for v in boolean_permutations(n):
         for w in signs.elements:
             cert = build_matching(v, w)
@@ -211,27 +238,25 @@ def _matching_sweep(n: int, perfect: bool) -> list[str]:
                 report = f"invalid certificate: {problem}"
             else:
                 report = _matching_homology_report(v, cert, signs)
-            if report is not None:
-                bad.append(
-                    f"v={format_permutation(v)} w={format_permutation(w)}: {report}"
-                )
-    return bad
+            yield report and f"v={format_permutation(v)} w={format_permutation(w)}: {report}"
 
 
-def check_lem4_3(n: int) -> list[str]:
+@sweep
+def check_lem4_3(n: int):
     """Perfectly matched intersections give exact restricted complexes."""
     return _matching_sweep(n, perfect=True)
 
 
-def check_lem4_4(n: int) -> list[str]:
+@sweep
+def check_lem4_4(n: int):
     """Almost perfectly matched intersections have one 1-dimensional homology
     class at the singleton's position."""
     return _matching_sweep(n, perfect=False)
 
 
-def check_prop5_8(n: int) -> list[str]:
+@sweep
+def check_prop5_8(n: int):
     """Every constructed matching is perfect or bounded by l(v) - run(v)."""
-    bad = []
     everyone = all_permutations(n)
     for v in boolean_permutations(n):
         bound = optimal_rank(v)
@@ -239,18 +264,16 @@ def check_prop5_8(n: int) -> list[str]:
             cert = build_matching(v, w)
             problem = check_matching(cert)
             if problem is not None:
-                bad.append(
+                yield (
                     f"v={format_permutation(v)} w={format_permutation(w)}: "
                     f"certificate invalid: {problem}"
                 )
                 continue
             singles = cert.singletons()
-            if singles and singles[0].length > bound:
-                bad.append(
-                    f"v={format_permutation(v)} w={format_permutation(w)}: "
-                    f"singleton rank {singles[0].length} exceeds {bound}"
-                )
-    return bad
+            yield singles and singles[0].length > bound and (
+                f"v={format_permutation(v)} w={format_permutation(w)}: "
+                f"singleton rank {singles[0].length} exceeds {bound}"
+            )
 
 
 def subword_closure(letters: tuple[int, ...], n: int) -> frozenset[Permutation]:
@@ -270,11 +293,11 @@ def subword_closure(letters: tuple[int, ...], n: int) -> frozenset[Permutation]:
     return frozenset(out)
 
 
-def check_lem5_6(n: int) -> list[str]:
+@sweep
+def check_lem5_6(n: int):
     """slim(s, i) is the unique Bruhat maximum of the deleted-word closure,
     and that closure is its full principal ideal, for every reduced word of
     every w of length 1 to 8 in S_n."""
-    bad = []
     ideals: dict[Permutation, frozenset[Permutation]] = {}
     for w in all_permutations(n):
         if not 1 <= w.length <= 8:
@@ -286,19 +309,17 @@ def check_lem5_6(n: int) -> list[str]:
                 top = slim(rw, i)
                 if top not in ideals:
                     ideals[top] = principal_ideal(top).elements
-                if closure != ideals[top]:
-                    bad.append(
-                        f"s={format_reduced_word(rw)} i={i}: closure is not "
-                        f"B({format_permutation(top)})"
-                    )
-    return bad
+                yield closure != ideals[top] and (
+                    f"s={format_reduced_word(rw)} i={i}: closure is not "
+                    f"B({format_permutation(top)})"
+                )
 
 
-def check_thm5_10(n: int) -> list[str]:
+@sweep
+def check_thm5_10(n: int):
     """The concatenated per-run partner realizes singleton rank l(v) - run(v),
     and the matched complex has the forced homology class."""
     signs = build_sign_assignment(n)
-    bad = []
     for v in boolean_permutations(n):
         if v.is_identity():
             continue
@@ -306,48 +327,40 @@ def check_thm5_10(n: int) -> list[str]:
         cert = build_matching(v, w)
         problem = check_matching(cert)
         if problem is not None:
-            bad.append(f"v={format_permutation(v)}: certificate invalid: {problem}")
+            yield f"v={format_permutation(v)}: certificate invalid: {problem}"
             continue
         singles = cert.singletons()
         expected = optimal_rank(v)
         if len(singles) != 1 or singles[0].length != expected:
-            bad.append(
+            yield (
                 f"v={format_permutation(v)}: singleton ranks "
                 f"{[z.length for z in singles]}, expected one at {expected}"
             )
             continue
         report = _matching_homology_report(v, cert, signs)
-        if report is not None:
-            bad.append(f"v={format_permutation(v)}: {report}")
-    return bad
+        yield report and f"v={format_permutation(v)}: {report}"
 
 
-def check_thm6_4(n: int) -> list[str]:
+@sweep
+def check_thm6_4(n: int):
     """Second row of the insertion shape counts minimal runs, boolean case."""
-    bad = []
     for v in boolean_permutations(n):
         runs = run_decompose(v).count
         row2 = rs_shape(v).part(2)
-        if row2 != runs:
-            bad.append(
-                f"v={format_permutation(v)}: second row {row2}, runs {runs}"
-            )
-    return bad
+        yield row2 != runs and f"v={format_permutation(v)}: second row {row2}, runs {runs}"
 
 
-def check_cor6_7(n: int) -> list[str]:
+@sweep
+def check_cor6_7(n: int):
     """a(v) equals the minimal run count for boolean v."""
-    bad = []
     for v in boolean_permutations(n):
         runs = run_decompose(v).count
-        if a_function(v) != runs:
-            bad.append(
-                f"v={format_permutation(v)}: a={a_function(v)}, runs {runs}"
-            )
-    return bad
+        a = a_function(v)
+        yield a != runs and f"v={format_permutation(v)}: a={a}, runs {runs}"
 
 
-def check_thm6_8(n: int, sample: int | None = None, seed: int = 0) -> list[str]:
+@sweep
+def check_thm6_8(n: int, sample: int | None = None, seed: int = 0):
     """Grade equals the a-function on boolean permutations."""
     signs = build_sign_assignment(n)
     booleans = boolean_permutations(n)
@@ -359,13 +372,10 @@ def check_thm6_8(n: int, sample: int | None = None, seed: int = 0) -> list[str]:
             set(rng.choices(booleans, k=sample)),
             key=lambda v: (v.length, v.images),
         )
-    bad = []
     for v in booleans:
         got = grade(v, signs).grade
         want = a_function(v)
-        if got != want:
-            bad.append(f"v={format_permutation(v)}: grade {got}, a {want}")
-    return bad
+        yield got != want and f"v={format_permutation(v)}: grade {got}, a {want}"
 
 
 def _partitions(n: int, largest: int | None = None):
@@ -378,50 +388,27 @@ def _partitions(n: int, largest: int | None = None):
             yield (first,) + rest
 
 
-def check_thm7_2(n: int) -> list[str]:
+@sweep
+def check_thm7_2(n: int):
     """Longest parabolic elements have grade equal to their length."""
     signs = build_sign_assignment(n)
-    bad = []
     for parts in _partitions(n):
         w = longest_parabolic_element(YoungShape(parts), n)
         got = grade(w, signs).grade
-        if got != w.length:
-            bad.append(f"mu={parts}: grade {got} != {w.length}")
-    return bad
+        yield got != w.length and f"mu={parts}: grade {got} != {w.length}"
 
 
-def check_thm7_3(n: int) -> list[str]:
+@sweep
+def check_thm7_3(n: int):
     """Perfection is exactly being a longest parabolic element."""
     signs = build_sign_assignment(n)
-    bad = []
     for w in signs.elements:
         homological = is_perfect(w, signs)
         combinatorial = is_longest_parabolic_element(w)
-        if homological != combinatorial:
-            bad.append(
-                f"w={format_permutation(w)}: perfect {homological}, "
-                f"longest parabolic {combinatorial}"
-            )
-    return bad
-
-
-THEOREM_CHECKS = {
-    "thm2.4": check_thm2_4,
-    "prop3.3": check_prop3_3,
-    "prop3.5": check_prop3_5,
-    "cor3.6": check_cor3_6,
-    "thm3.10": check_thm3_10,
-    "lem4.3": check_lem4_3,
-    "lem4.4": check_lem4_4,
-    "prop5.8": check_prop5_8,
-    "lem5.6": check_lem5_6,
-    "thm5.10": check_thm5_10,
-    "thm6.4": check_thm6_4,
-    "cor6.7": check_cor6_7,
-    "thm6.8": check_thm6_8,
-    "thm7.2": check_thm7_2,
-    "thm7.3": check_thm7_3,
-}
+        yield homological != combinatorial and (
+            f"w={format_permutation(w)}: perfect {homological}, "
+            f"longest parabolic {combinatorial}"
+        )
 
 # checks whose first argument is a letter-range bound rather than a degree
 K_PARAM_CHECKS = {"prop3.3"}

@@ -1,8 +1,10 @@
 import random
+import re
 
 import pytest
 
 from boolbruhat.boolean_intersect import (
+    ObstructionSet,
     Orientation,
     _run_candidates,
     _run_leq,
@@ -15,7 +17,7 @@ from boolbruhat.boolean_intersect import (
     selfish_count,
     subword_element,
 )
-from boolbruhat import bruhat
+from boolbruhat import bruhat, verify
 from boolbruhat.bruhat import bruhat_leq, intersect_ideals, maximal_elements, run_word_leq
 from boolbruhat.permcore import (
     DegreeMismatchError,
@@ -26,7 +28,12 @@ from boolbruhat.permcore import (
     parse_permutation,
     support,
 )
-from boolbruhat.verify import _brute_maximal_selfish, check_cor3_6, orientation_oracle
+from boolbruhat.verify import (
+    _brute_maximal_selfish,
+    check_cor3_6,
+    check_prop3_5,
+    orientation_oracle,
+)
 
 
 def fs(*xs):
@@ -230,6 +237,18 @@ def test_closed_form_of_self_intersection_is_the_element():
 
 def test_sampled_closed_form_check_reaches_degree_twelve():
     assert check_cor3_6(12, sample=20, seed=0) == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_membership_is_obstruction_run_avoidance(n):
+    assert check_prop3_5(n) == []
+
+
+def test_membership_check_reports_missing_obstructions(monkeypatch):
+    monkeypatch.setattr(verify, "obstructions", lambda v, w: ObstructionSet(frozenset(), True))
+    bad = check_prop3_5(3)
+    assert bad and all(re.match(r"v=\S+ w=\S+ x=\S+: membership False, predicted True$", line)
+                       for line in bad)
 
 
 def test_run_test_agrees_with_run_word_leq():

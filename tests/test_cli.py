@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import boolbruhat
+from boolbruhat import verify
 from boolbruhat.cli import main
 
 
@@ -140,6 +142,48 @@ def test_verify_pass(capsys):
     assert out.strip() == "PASS thm2.4"
 
 
+ZERO_CASE_SIZES = {"lem4.3": [1], "lem5.6": [1], "thm3.10": [1, 2], "thm5.10": [1]}
+
+
+@pytest.mark.parametrize(
+    "theorem, n", [(t, n) for t, sizes in ZERO_CASE_SIZES.items() for n in sizes]
+)
+def test_verify_sweep_that_checks_no_case_exits_two(capsys, theorem, n):
+    code, out, err = run(capsys, "verify", theorem, "--n", str(n))
+    assert (code, out) == (2, "")
+    assert err == f"error: {theorem} --n {n} checks no case\n"
+
+
+def checked_count(err, sized):
+    match = re.fullmatch(rf"{re.escape(sized)}: checked (\d+) case\(s\)\n", err)
+    assert match, err
+    return int(match[1])
+
+
+@pytest.mark.parametrize("theorem", sorted(set(verify.THEOREM_CHECKS) - {"prop3.3"}))
+def test_verify_at_its_smallest_size_checks_a_case(capsys, theorem):
+    n = max(ZERO_CASE_SIZES.get(theorem, [0])) + 1
+    code, out, err = run(capsys, "verify", theorem, "--n", str(n))
+    assert (code, out) == (0, f"PASS {theorem}\n")
+    assert checked_count(err, f"{theorem} --n {n}") >= 1
+
+
+@pytest.mark.parametrize(
+    "argv, sized, count",
+    [
+        (["verify", "thm6.8", "--n", "6"], "thm6.8 --n 6", 89),
+        (["verify", "thm7.3", "--n", "5"], "thm7.3 --n 5", 120),
+        (["verify", "thm7.2", "--n", "6"], "thm7.2 --n 6", 11),
+        (["verify", "prop3.3", "--k", "1"], "prop3.3 --k 1", 2),
+        (["verify", "prop3.3", "--k", "3"], "prop3.3 --k 3", 6),
+    ],
+)
+def test_verify_reports_how_many_cases_it_checked(capsys, argv, sized, count):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (0, f"PASS {sized.split()[0]}\n")
+    assert checked_count(err, sized) == count
+
+
 def test_verify_selfish_uses_k(capsys):
     code, out, _ = run(capsys, "verify", "prop3.3", "--k", "8")
     assert code == 0
@@ -147,11 +191,12 @@ def test_verify_selfish_uses_k(capsys):
 
 
 def test_verify_sampling_check(capsys):
-    code, out, _ = run(
+    code, out, err = run(
         capsys, "--seed", "7", "verify", "cor3.6", "--n", "4", "--sample", "50"
     )
     assert code == 0
     assert "PASS" in out
+    assert checked_count(err, "cor3.6 --n 4") == 50
 
 
 def test_export_dot(capsys):

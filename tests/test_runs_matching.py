@@ -365,17 +365,19 @@ def test_matching_sweeps_check_each_certificate_once(monkeypatch):
 
     monkeypatch.setattr(verify, "check_matching", counting)
     booleans = boolean_permutations(4)
-    assert verify.check_thm5_10(4) == []
-    assert len(checked) == len(booleans) - 1
+    swept = verify.check_thm5_10(4)
+    assert swept == []
+    assert len(checked) == swept.checked == len(booleans) - 1
     for check, perfect in ((verify.check_lem4_3, True), (verify.check_lem4_4, False)):
         checked.clear()
-        assert check(4) == []
+        swept = check(4)
+        assert swept == []
         matched = sum(
             build_matching(v, w).is_perfect == perfect
             for v in booleans
             for w in map(Permutation, permutations(range(1, 5)))
         )
-        assert len(checked) == len({id(c) for c in checked}) == matched
+        assert len(checked) == len({id(c) for c in checked}) == swept.checked == matched
 
 
 def test_matching_sweeps_report_an_invalid_certificate(monkeypatch):

@@ -3,6 +3,8 @@ import re
 from collections import Counter
 from pathlib import Path
 
+from boolbruhat import verify
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "boolbruhat"
 
 
@@ -46,3 +48,16 @@ def test_every_top_level_name_is_read_somewhere():
         if not (name.startswith("__") and name.endswith("__")) and words[name] < 2
     )
     assert names and unread == []
+
+
+def test_every_verify_check_is_a_registered_sweep():
+    """An undecorated check_* would return a bare list and be missing from
+    the CLI's registry."""
+    checks = {
+        name for name, value in vars(verify).items()
+        if name.startswith("check_") and getattr(value, "__module__", None) == verify.__name__
+    }
+    assert checks == {check.__name__ for check in verify.THEOREM_CHECKS.values()}
+    assert len(checks) == 15
+    for check in verify.THEOREM_CHECKS.values():
+        assert isinstance(check(1), verify.Sweep)
