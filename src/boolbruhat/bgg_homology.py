@@ -166,6 +166,10 @@ def build_complex(
     matrices: list[tuple] = [()]
     for i in range(1, top_length + 1):
         column = {x: c for c, x in enumerate(basis[i])}
+        if not column:
+            # rows and no columns: the matrix into the position after grade's cut
+            matrices.append(((),) * len(basis[i - 1]))
+            continue
         rows = []
         for y in basis[i - 1]:
             row = [0] * len(column)
@@ -238,6 +242,20 @@ def differential_squares_to_zero(c: RestrictedComplex) -> bool:
     return True
 
 
+def _gf2_rank(rows) -> int:
+    """Rank over GF(2) of rows given as ints, bit c the entry in column c:
+    each row is reduced by XOR against the kept rows of its leading bit."""
+    lead: dict[int, int] = {}
+    for row in rows:
+        while row:
+            top = row.bit_length()
+            if top not in lead:
+                lead[top] = row
+                break
+            row ^= lead[top]
+    return len(lead)
+
+
 def _first_nonzero_position(
     on: list[int], top_length: int, signs: SignAssignment, stop_at: int
 ) -> int | None:
@@ -245,13 +263,40 @@ def _first_nonzero_position(
     the ideal with sorted indices on, scanning from position 0 and computing
     ranks lazily: it reads dims[i] for i < stop_at and the matrices up to
     index stop_at, so on may leave out every element below length
-    top_length - stop_at (grade's cut)."""
-    c = build_complex(on, top_length, signs)
-    prev_rank = 0
-    for i in range(min(stop_at, c.top_length + 1)):
-        nxt_rank = integer_rank(c.matrices[i + 1]) if i + 1 <= c.top_length else 0
-        if c.dims[i] - prev_rank - nxt_rank > 0:
-            return i
+    top_length - stop_at (grade's cut).
+
+    Ranks are taken over GF(2) first, on rows whose bits are the covers
+    among the keys of signs.sign. A rank mod 2 is at most the rational
+    rank, so a position that is exact over GF(2) is exact over Q. Only at a
+    position where GF(2) sees homology is the complex built and the two
+    ranks there decided by integer_rank."""
+    elements, sign = signs.elements, signs.sign
+    last = min(stop_at, top_length)
+    basis: list[list[int]] = [[] for _ in range(last + 1)]
+    for k in on:
+        i = top_length - elements[k].length
+        if i <= last:
+            basis[i].append(k)
+    c = None
+    prev_rank = 0  # the rank of matrix i, over Q after a fallback at i - 1
+    for i in range(min(stop_at, top_length + 1)):
+        nxt_rank = 0
+        if i < last and basis[i + 1]:
+            column = {x: 1 << b for b, x in enumerate(basis[i + 1])}
+            rows = []
+            for y in basis[i]:
+                row = 0
+                for x in sign[y]:
+                    row |= column.get(x, 0)
+                rows.append(row)
+            nxt_rank = _gf2_rank(rows)
+        if len(basis[i]) - prev_rank - nxt_rank > 0:
+            if c is None:
+                c = build_complex(on, top_length, signs)
+            prev_rank = integer_rank(c.matrices[i])
+            nxt_rank = integer_rank(c.matrices[i + 1]) if i < top_length else 0
+            if c.dims[i] - prev_rank - nxt_rank > 0:
+                return i
         prev_rank = nxt_rank
     return None
 

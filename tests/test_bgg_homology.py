@@ -233,6 +233,71 @@ def test_integer_rank_examples():
     assert integer_rank([[2, 4, 6], [1, 2, 3], [0, 0, 1]]) == 2
 
 
+def _bit_rows(matrix):
+    """Each row as an int with bit c set where column c is odd."""
+    return [sum(1 << c for c, v in enumerate(row) if v % 2) for row in matrix]
+
+
+def test_gf2_rank_is_the_log_of_the_row_span():
+    rng = random.Random(2)
+    for _ in range(300):
+        n_rows, n_columns = rng.randint(0, 6), rng.randint(1, 7)
+        rows = [rng.getrandbits(n_columns) for _ in range(n_rows)]
+        span = {0}
+        for row in rows:
+            span |= {s ^ row for s in span}
+        assert 1 << bgg_homology._gf2_rank(rows) == len(span), rows
+
+
+def test_gf2_rank_is_at_most_the_rational_rank():
+    rng = random.Random(3)
+    for _ in range(300):
+        n_rows, n_columns = rng.randint(1, 6), rng.randint(1, 6)
+        m = [[rng.choice((-1, 0, 1)) for _ in range(n_columns)] for _ in range(n_rows)]
+        assert bgg_homology._gf2_rank(_bit_rows(m)) <= integer_rank(m), m
+    # rank 1 over GF(2), 2 over Q
+    assert bgg_homology._gf2_rank(_bit_rows([[1, 1], [1, -1]])) == 1
+
+
+def test_a_position_gf2_cannot_decide_falls_back_to_the_exact_rank(monkeypatch):
+    """s1s2 and s2s1 over s1 and s2, with the matrix [[1, 1], [1, -1]]
+    (columns s1, s2): GF(2) sees homology at position 0, the exact rank
+    shows none."""
+    elements = all_permutations(3)
+    index = {x.images: k for k, x in enumerate(elements)}
+    e, s1, s2, s1s2, s2s1 = (index[w3(*word).images] for word in ((), (1,), (2,), (1, 2), (2, 1)))
+    sign = [{} for _ in elements]
+    sign[s1], sign[s2] = {e: 1}, {e: 1}
+    sign[s1s2], sign[s2s1] = {s1: 1, s2: 1}, {s1: 1, s2: -1}
+    signs = SignAssignment(3, elements, index, sign)
+    on = sorted((s1, s2, s1s2, s2s1))
+    c = build_complex(on, 2, signs)
+    # one-line order puts s2 = 132 before s1 = 213
+    assert c.matrices[1] == ((1, 1), (-1, 1))
+    assert homology_ranks(c) == {0: 0, -1: 0, -2: 0}
+    calls = []
+
+    def counting(rows):
+        calls.append(rows)
+        return integer_rank(rows)
+
+    monkeypatch.setattr(bgg_homology, "integer_rank", counting)
+    assert bgg_homology._first_nonzero_position(on, 2, signs, 3) is None
+    assert c.matrices[1] in calls
+
+
+def test_an_overcounting_gf2_rank_changes_a_grade(monkeypatch):
+    real = bgg_homology._gf2_rank
+    monkeypatch.setattr(bgg_homology, "_gf2_rank", lambda rows: real(rows) + 1)
+    cases = [(4, all_permutations(4)), (5, boolean_permutations(5))]
+    assert any(
+        grade(w, signs) != _unpruned_grade(w, signs, None, 1)
+        for n, elems in cases
+        for signs in [build_sign_assignment(n)]
+        for w in elems
+    )
+
+
 def test_differential_squares_to_zero_everywhere():
     signs = build_sign_assignment(4)
     w0 = Permutation((4, 3, 2, 1))
@@ -618,24 +683,34 @@ def test_pruned_and_cut_scan_matches_the_unpruned_copy():
 
 def test_grade_builds_only_the_positions_the_scan_reads(monkeypatch):
     """While grading the booleans of S_6, no basis element handed to
-    build_complex lies below length l(w) - best, and integer_rank is handed
-    as many cells as in the unpruned copy, in fewer calls."""
+    build_complex lies below length l(w) - best, the GF(2) pass reads as
+    many matrix cells as the unpruned copy hands integer_rank, and the
+    exact integer_rank is handed fewer cells, in fewer calls."""
     signs = build_sign_assignment(6)
     booleans = boolean_permutations(6)
-    real_build, real_rank, real_first = (
+    real_build, real_rank, real_gf2, real_first = (
         bgg_homology.build_complex,
         bgg_homology.integer_rank,
+        bgg_homology._gf2_rank,
         bgg_homology._first_nonzero_position,
     )
-    tally = {"cells": 0, "ranks": 0, "filled": 0, "checked": 0}
+    tally = {"cells": 0, "ranks": 0, "filled": 0, "checked": 0, "gf2_cells": 0}
     low = []  # l(w) - best, inside a call of _first_nonzero_position
+    # the (rows, columns) of each nonempty-column matrix, in the order the
+    # GF(2) pass reads them, inside a call of _first_nonzero_position
+    shapes = []
 
     def first(on, top_length, signs, stop_at):
+        dims = [0] * (top_length + 1)
+        for k in on:
+            dims[top_length - signs.elements[k].length] += 1
         low.append(top_length - stop_at)
+        shapes.append(iter([(dims[j - 1], dims[j]) for j in range(1, len(dims)) if dims[j]]))
         try:
             return real_first(on, top_length, signs, stop_at)
         finally:
             low.pop()
+            shapes.pop()
 
     def build(on, top_length, signs):
         if low:
@@ -651,8 +726,16 @@ def test_grade_builds_only_the_positions_the_scan_reads(monkeypatch):
         tally["cells"] += len(rows) * len(rows[0]) if rows else 0
         return real_rank(rows)
 
+    def gf2(rows):
+        rows = list(rows)
+        n_rows, n_columns = next(shapes[-1])
+        assert len(rows) == n_rows
+        tally["gf2_cells"] += n_rows * n_columns
+        return real_gf2(rows)
+
     monkeypatch.setattr(bgg_homology, "build_complex", build)
     monkeypatch.setattr(bgg_homology, "integer_rank", rank)
+    monkeypatch.setattr(bgg_homology, "_gf2_rank", gf2)
     monkeypatch.setattr(bgg_homology, "_first_nonzero_position", first)
     got = [grade(w, signs) for w in booleans]
     pruned = dict(tally)
@@ -660,7 +743,21 @@ def test_grade_builds_only_the_positions_the_scan_reads(monkeypatch):
     tally.update(cells=0, ranks=0, filled=0)
     want = [_unpruned_grade(w, signs, None, 1) for w in booleans]
     assert got == want
-    assert pruned["cells"] == tally["cells"]
+    assert pruned["gf2_cells"] == tally["cells"]
+    assert pruned["cells"] < tally["cells"]
     assert pruned["ranks"] < tally["ranks"]
     assert pruned["filled"] < tally["filled"]
 
+
+def test_grade_table_csv_is_pinned():
+    """grade --all 5 and 6, byte for byte, as the exact rank on every
+    position computed them."""
+    import hashlib
+
+    want = {
+        5: "9b3ac21080f58868eb7d92cd89f3027f2c1fec85277c9a56e092313e95f6e86c",
+        6: "9e136fa333fe1586ba060e3372fc1c58c4ef5c60526a4f2da98b1c8cab82ad3e",
+    }
+    for n, digest in want.items():
+        text = grade_table_csv(grade_table(n, build_sign_assignment(n)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, n
