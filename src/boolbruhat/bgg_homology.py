@@ -14,7 +14,6 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import factorial
 
 from .bruhat import _down_images
 from .permcore import (
@@ -22,8 +21,11 @@ from .permcore import (
     CapExceededError,
     DegreeMismatchError,
     Permutation,
+    _capped_factorial,
     all_permutations,
+    boolean_permutations,
     format_permutation,
+    is_boolean,
     support,
 )
 from .boolean_intersect import interval_components
@@ -76,9 +78,11 @@ def _cover_count(n: int) -> int:
 
     Swapping the entries at positions i and i+d of w gives an element
     covering w for exactly 1/(d+1) of all w: among the d+1 entries from i to
-    i+d, the one at i must come next below the one at i+d.
+    i+d, the one at i must come next below the one at i+d. n! is computed
+    once, and refused first when it is over the cap.
     """
-    return sum(factorial(n) // (d + 1) * (n - d) for d in range(1, n))
+    size = _capped_factorial(n)
+    return sum(size // (d + 1) * (n - d) for d in range(1, n))
 
 
 def build_sign_assignment(n: int) -> SignAssignment:
@@ -91,8 +95,8 @@ def build_sign_assignment(n: int) -> SignAssignment:
     is checked. Raises AssertionError when two diamonds force different
     signs, or when a later down-cover shares no diamond with an earlier one
     (which no element of S_n, n <= 8, has). Raises CapExceededError, before
-    enumerating S_n, when S_n has more than ENUMERATION_CAP covers, so
-    n <= 8 is served.
+    enumerating S_n, when S_n has more than ENUMERATION_CAP elements or
+    covers, so n <= 8 is served.
     """
     covers = _cover_count(n)
     if covers > ENUMERATION_CAP:
@@ -363,11 +367,10 @@ def _grade(
 class _BooleanMasks:
     """One pass over a sign assignment's elements, in index order. Bit b
     stands for the b-th boolean element, boolean[b] is its index, and
-    mask[k] is the OR of the masks of k's down-covers, with k's own bit when
-    k is boolean: the boolean elements below k. So k is boolean exactly when
-    the highest bit of mask[k] is its own. distinct holds (first index k,
-    mask[k]) for each distinct mask, in index order. right[k] and left[k]
-    have bit i set for each right (left) descent s_{i+1} of element k."""
+    mask[k] has the bits of the boolean elements below k. distinct holds
+    (first index k, mask[k]) for each distinct mask, in index order.
+    right[k] and left[k] have bit i set for each right (left) descent
+    s_{i+1} of element k."""
 
     boolean: list[int]
     mask: list[int]
@@ -377,28 +380,20 @@ class _BooleanMasks:
 
 
 def _boolean_masks(signs: SignAssignment) -> _BooleanMasks:
-    """The masks of SignAssignment.masks. An element of length 2 or more
-    is boolean when its length equals its number of distinct letters, the
-    simple reflections below it: bits 1..n-1, since they follow the
-    identity in index order."""
+    """The masks of SignAssignment.masks: the boolean elements come from
+    boolean_permutations, their masks from _ideal_masks, the pass that
+    serves any other w."""
     n = signs.degree
-    letters = (1 << n) - 2
-    boolean: list[int] = []
+    boolean = sorted(signs.index[v.images] for v in boolean_permutations(n))
     mask: list[int] = []
     first: dict[int, int] = {}
     right: list[int] = []
     left: list[int] = []
-    for k, x in enumerate(signs.elements):
-        below = 0
-        for j in signs.sign[k]:
-            below |= mask[j]
-        if x.length < 2 or (below & letters).bit_count() == x.length:
-            below |= 1 << len(boolean)
-            boolean.append(k)
+    for k, below in _ideal_masks(signs.sign, boolean):
         mask.append(below)
         first.setdefault(below, k)
         # descents as bitmasks, without a frozenset per element of S_n
-        img = x.images
+        img = signs.elements[k].images
         position = [0] * n
         for p, v in enumerate(img):
             position[v - 1] = p
@@ -421,13 +416,12 @@ def _scan(signs: SignAssignment, top: int):
     so the highest bit of mask is an element of the intersection's top
     length.
 
-    The only branch picks the masks. A boolean w, the highest boolean
-    element below itself, has only boolean elements below it, so ideal is
-    signs.masks.boolean and the intersection is the AND of the precomputed
-    masks of u and w; only the first u of each distinct mask is visited,
-    since a later one has the same complex. Any other w has ideal the
-    sorted indices of B(w), walked down from w, and _ideal_masks gives every
-    u its mask over it in one pass over S_n.
+    The only branch picks the masks. A boolean w has only boolean elements
+    below it, so ideal is signs.masks.boolean and the intersection is the
+    AND of the precomputed masks of u and w; only the first u of each
+    distinct mask is visited, since a later one has the same complex. Any
+    other w has ideal the sorted indices of B(w), walked down from w, and
+    _ideal_masks gives every u its mask over it in one pass over S_n.
 
     Comparability is read off the intersection m itself: w <= u exactly
     when m is all of w's mask, and u <= w exactly when u is the highest
@@ -436,7 +430,7 @@ def _scan(signs: SignAssignment, top: int):
     complexes and are skipped."""
     masks = signs.masks
     right, left = masks.right, masks.left
-    if masks.boolean[masks.mask[top].bit_length() - 1] == top:
+    if is_boolean(signs.elements[top]):
         ideal, source, mw = masks.boolean, masks.distinct, masks.mask[top]
     else:
         ideal = sorted(_ideal_indices(signs.sign, top))

@@ -9,7 +9,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import product
-from math import prod
 from operator import le
 
 from .bruhat import RunWord
@@ -18,6 +17,7 @@ from .permcore import (
     CapExceededError,
     DegreeMismatchError,
     Permutation,
+    _capped,
     is_boolean,
     support,
 )
@@ -125,6 +125,17 @@ def selfish_count(k: int) -> int:
     return counts[k - 1]
 
 
+def _capped_selfish_count(sizes) -> int:
+    """The number of unions of one maximal selfish subset per interval of
+    the given sizes, capped by _capped: the product grows by one |Q_j| at a
+    time, and passes the cap before j reaches 50."""
+    total = 1
+    for size in sizes:
+        partial = (total * selfish_count(j) for j in range(1, size + 1))
+        total = _capped(partial, "maximal selfish subsets")
+    return total
+
+
 def interval_components(universe) -> list[tuple[int, ...]]:
     """Decompose a set of integers into maximal intervals of consecutive values."""
     values = sorted(universe)
@@ -143,11 +154,7 @@ def interval_components(universe) -> list[tuple[int, ...]]:
 def _selfish_product(intervals) -> list[frozenset[int]]:
     """Every union of one maximal selfish subset per interval of consecutive
     integers; raises CapExceededError, before building any, above the cap."""
-    count = prod(selfish_count(len(iv)) for iv in intervals)
-    if count > ENUMERATION_CAP:
-        raise CapExceededError(
-            f"{count} maximal selfish subsets, more than the cap {ENUMERATION_CAP}"
-        )
+    _capped_selfish_count(len(iv) for iv in intervals)
     per_interval = [
         [frozenset(iv[0] - 1 + i for i in x) for x in _maximal_selfish_interval(len(iv))]
         for iv in intervals

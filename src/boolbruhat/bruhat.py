@@ -16,7 +16,7 @@ from .permcore import (
     canonical_reduced_word,
     format_permutation,
     format_reduced_word,
-    support,
+    is_boolean,
 )
 
 @dataclass(frozen=True)
@@ -153,7 +153,7 @@ def _walk(top: Permutation, leq=None) -> BruhatIdeal:
     the same elements and the same maximal elements. Raises
     CapExceededError when B(top) has more than ENUMERATION_CAP elements.
     """
-    if top.length == len(support(top)):
+    if is_boolean(top):
         return _subword_walk(top, leq)
     return _cover_walk(top, leq)
 

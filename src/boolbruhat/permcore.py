@@ -7,8 +7,9 @@ denotes the composite map sigma_{i1} o ... o sigma_{il}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterator, Literal
+from itertools import accumulate, combinations
+from operator import mul
+from typing import Iterable, Iterator, Literal
 
 # The one size guard: no enumeration (reduced words, boolean elements, all of
 # S_n, a principal ideal, the covers of a sign assignment) holds more items.
@@ -185,12 +186,23 @@ def descents(w: Permutation, side: Literal["left", "right"] = "right") -> frozen
 
 
 def _word_iter(w: Permutation) -> Iterator[tuple[int, ...]]:
-    if w.is_identity():
-        yield ()
-        return
-    for i in sorted(descents(w, "left")):
-        for rest in _word_iter(w.left_simple(i)):
-            yield (i,) + rest
+    """The reduced words of w in lexicographic order, depth first. The stack
+    holds, at depth d, w with letters[:d] stripped and its left descents not
+    yet tried; it is not the call stack, so no length meets the recursion
+    limit."""
+    letters: list[int] = []
+    stack = [(w, sorted(descents(w, "left"), reverse=True))]
+    while stack:
+        u, todo = stack[-1]
+        if todo:
+            letters.append(todo.pop())
+            x = u.left_simple(letters[-1])
+            stack.append((x, sorted(descents(x, "left"), reverse=True)))
+            continue
+        if u.is_identity():
+            yield tuple(letters)
+        stack.pop()
+        del letters[-1:]
 
 
 def enumerate_reduced_words(w: Permutation) -> frozenset[ReducedWord]:
@@ -214,18 +226,10 @@ def enumerate_reduced_words(w: Permutation) -> frozenset[ReducedWord]:
 
 
 def canonical_reduced_word(w: Permutation) -> ReducedWord:
-    """The lexicographically smallest reduced word of w.
-
-    Greedily strips the smallest left descent; the first letters of reduced
-    words are exactly the left descents, so the greedy choice is lex-minimal.
-    """
-    letters = []
-    u = w
-    while not u.is_identity():
-        i = min(descents(u, "left"))
-        letters.append(i)
-        u = u.left_simple(i)
-    return ReducedWord(tuple(letters), w.n)
+    """The lexicographically smallest reduced word of w: the first word of
+    _word_iter, since the first letters of reduced words are exactly the
+    left descents."""
+    return ReducedWord(next(_word_iter(w)), w.n)
 
 
 def pattern_contains(w: Permutation, p: Permutation) -> bool:
@@ -299,29 +303,37 @@ def all_permutations(n: int) -> list[Permutation]:
     """
     from itertools import permutations as _perms
 
-    count = 1
-    for k in range(2, n + 1):
-        count *= k
-        if count > ENUMERATION_CAP:
-            raise CapExceededError(
-                f"S_{n} has {n}! elements, more than the cap {ENUMERATION_CAP}"
-            )
+    _capped_factorial(n)
     out = [Permutation(p) for p in _perms(range(1, n + 1))]
     out.sort(key=lambda w: (w.length, w.images))
     return out
 
 
+def _capped(counts: Iterable[int], what: str) -> int:
+    """The last of counts, a non-decreasing run of partial counts of what;
+    raises CapExceededError at the first past ENUMERATION_CAP, naming what
+    but not the count, which may be too long to print."""
+    count = 0
+    for count in counts:
+        if count > ENUMERATION_CAP:
+            raise CapExceededError(f"{what}, more than the cap {ENUMERATION_CAP}")
+    return count
+
+
+def _capped_factorial(n: int) -> int:
+    """n!, the number of elements of S_n, capped by _capped."""
+    return _capped(accumulate(range(1, n + 1), mul), f"S_{n} has {n}! elements")
+
+
 def _capped_boolean_count(n: int) -> int:
-    """F_{2n-1}, the number of boolean elements of S_n; raises
-    CapExceededError when it exceeds ENUMERATION_CAP."""
-    a, b = 0, 1
-    for _ in range(2 * n - 2):
-        a, b = b, a + b
-    if b > ENUMERATION_CAP:
-        raise CapExceededError(
-            f"S_{n} has {b} boolean elements, more than the cap {ENUMERATION_CAP}"
-        )
-    return b
+    """F_{2n-1}, the number of boolean elements of S_n, capped by _capped."""
+
+    def odd_fibonacci(a=0, b=1):  # F_{2k}, F_{2k+1} from k = 0
+        for _ in range(n):
+            yield b
+            a, b = a + b, a + 2 * b
+
+    return _capped(odd_fibonacci(), f"S_{n} has F_{2 * n - 1} boolean elements")
 
 
 def boolean_permutations(n: int) -> list[Permutation]:

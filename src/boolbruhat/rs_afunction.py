@@ -28,12 +28,6 @@ class YoungShape:
         """1-based part, 0 beyond the last row."""
         return self.parts[i - 1] if i <= len(self.parts) else 0
 
-    def transpose(self) -> "YoungShape":
-        if not self.parts:
-            return self
-        cols = [sum(1 for p in self.parts if p >= j) for j in range(1, self.parts[0] + 1)]
-        return YoungShape(tuple(cols))
-
     def __str__(self):
         return ",".join(str(p) for p in self.parts)
 
@@ -58,9 +52,10 @@ def rs_shape(w: Permutation) -> YoungShape:
 
 
 def a_function(w: Permutation) -> int:
-    """Lusztig's a-function: sum of mu_i(mu_i - 1)/2 over the transposed shape."""
-    mu = rs_shape(w).transpose()
-    return sum(m * (m - 1) // 2 for m in mu.parts)
+    """Lusztig's a-function: sum of (i - 1) lambda_i over the rows lambda_i
+    of the RS shape, which equals the sum of C(lambda'_j, 2) over its
+    columns lambda'_j."""
+    return sum(i * p for i, p in enumerate(rs_shape(w).parts))
 
 
 def longest_parabolic_element(mu: YoungShape, n: int) -> Permutation:

@@ -157,37 +157,33 @@ def optimal_rank(v: Permutation) -> int:
     return v.length - run_decompose(v).count
 
 
-def _match_family(family: frozenset[frozenset[int]]) -> list[tuple]:
-    """Match a nonempty inclusion-downward-closed family of letter sets.
+def _match_family(family: dict[frozenset[int], Permutation]) -> list[Step]:
+    """Match a nonempty inclusion-downward-closed family of letter sets,
+    given as a dict from each set to its element.
 
-    Returns steps over supports, top of the filtration first: recursively
-    matched unpairable coideal, then the sigma_m pairs by descending rank.
+    Returns steps over the elements, top of the filtration first:
+    recursively matched unpairable coideal, then the sigma_m pairs by
+    descending rank. The family {frozenset()} is the one-element dict.
     """
-    if family == {frozenset()}:
-        return [("singleton", frozenset())]
+    if len(family) == 1:
+        return [Singleton(*family.values())]
     m = max(frozenset().union(*family))
-    pairs = []
-    unmatched = set()
-    for t in family:
+    ups = []
+    unmatched = {}
+    for t, x in family.items():
         if m in t:
             continue
         up = t | {m}
         if up in family:
-            pairs.append(("pair", t, up))
+            ups.append(up)
         else:
-            unmatched.add(t)
-    pairs.sort(key=lambda step: (-len(step[2]), sorted(step[2])))
+            unmatched[t] = x
+    ups.sort(key=lambda up: (-len(up), sorted(up)))
+    pairs = [Pair(family[up - {m}], family[up]) for up in ups]
     if not unmatched:
         return pairs
     core = frozenset.intersection(*unmatched)
-    sub = frozenset(t - core for t in unmatched)
-    lifted = []
-    for step in _match_family(sub):
-        if step[0] == "singleton":
-            lifted.append(("singleton", step[1] | core))
-        else:
-            lifted.append(("pair", step[1] | core, step[2] | core))
-    return lifted + pairs
+    return _match_family({t - core: x for t, x in unmatched.items()}) + pairs
 
 
 def build_matching(v: Permutation, w: Permutation) -> MatchingCertificate:
@@ -200,14 +196,7 @@ def build_matching(v: Permutation, w: Permutation) -> MatchingCertificate:
     if not is_boolean(v):
         raise ValueError("build_matching requires boolean v")
     ideal = intersect_ideals(v, w)
-    by_support = {support(x): x for x in ideal.elements}
-    family = frozenset(by_support)
-    steps: list[Step] = []
-    for step in _match_family(family):
-        if step[0] == "singleton":
-            steps.append(Singleton(by_support[step[1]]))
-        else:
-            steps.append(Pair(by_support[step[1]], by_support[step[2]]))
+    steps = _match_family({support(x): x for x in ideal.elements})
     return MatchingCertificate(tuple(steps), ideal)
 
 

@@ -27,6 +27,7 @@ from .bgg_homology import (
 )
 from .boolean_intersect import (
     Orientation,
+    _capped_selfish_count,
     intersection_maximal_closed_form,
     maximal_selfish,
     obstructions,
@@ -115,7 +116,8 @@ def _brute_maximal_selfish(universe) -> frozenset[frozenset[int]]:
 @sweep
 def check_prop3_3(k_max: int):
     """Recursion, product construction and brute force agree on Q_k; the
-    brute force runs for k <= 16."""
+    brute force runs for k <= 16. A Q_{k_max} over the cap is refused first."""
+    _capped_selfish_count([k_max])
     for k in range(1, k_max + 1):
         family = maximal_selfish(range(1, k + 1)).members
         yield len(family) != selfish_count(k) and (

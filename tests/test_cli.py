@@ -18,6 +18,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_cli(*argv, python_flags=()):
+    """The CLI in a subprocess, so a request that hangs fails its test at
+    the timeout instead of stalling the suite."""
+    env = dict(os.environ, PYTHONPATH=str(Path(boolbruhat.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, *python_flags, "-m", "boolbruhat.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+
+
 def test_boolean_report_true(capsys):
     code, out, _ = run(capsys, "--format", "json", "boolean", "3,1,2,6,4,7,8,9,5")
     assert code == 0
@@ -221,42 +231,56 @@ def test_invalid_permutation_exits_two(capsys):
     assert "error:" in err
 
 
-def test_degree_cap_exits_two(capsys):
+def assert_refused_at_the_cap(*argv):
+    done = run_cli(*argv)
+    assert (done.returncode, done.stdout) == (2, ""), (argv, done.stderr)
+    assert "more than the cap" in done.stderr
+    assert "integer string conversion" not in done.stderr
+
+
+def test_degree_cap_exits_two():
     for argv in (["grade", "2,1,3,4,5,6,7,8,9"], ["grade", "--all", "9"]):
-        code, _, err = run(capsys, *argv)
-        assert code == 2, argv
-        assert "more than the cap" in err
+        assert_refused_at_the_cap(*argv)
 
 
-def test_verify_honours_the_degree_cap(capsys):
-    code, _, err = run(capsys, "verify", "thm6.8", "--n", "9")
-    assert code == 2
-    assert "more than the cap" in err
+def test_verify_honours_the_degree_cap():
+    assert_refused_at_the_cap("verify", "thm6.8", "--n", "9")
 
 
 def test_exit_codes_do_not_depend_on_assert():
-    env = dict(os.environ, PYTHONPATH=str(Path(boolbruhat.__file__).parents[1]))
     for argv, code in (
         (["verify", "thm7.2", "--n", "4"], 0),
         (["grade", "2,1,3,4,5,6,7,8,9"], 2),
     ):
-        done = subprocess.run(
-            [sys.executable, "-O", "-m", "boolbruhat.cli", *argv],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+        done = run_cli(*argv, python_flags=["-O"])
         assert done.returncode == code, (argv, done.stderr)
 
 
-def test_oversized_boolean_sweep_exits_two(capsys):
-    code, _, err = run(capsys, "verify", "thm6.4", "--n", "30")
-    assert code == 2
-    assert "more than the cap" in err
+def test_oversized_boolean_sweep_exits_two():
+    assert_refused_at_the_cap("verify", "thm6.4", "--n", "30")
 
 
-def test_oversized_sweep_over_all_of_s_n_exits_two(capsys):
-    code, _, err = run(capsys, "verify", "prop5.8", "--n", "12")
-    assert code == 2
-    assert "more than the cap" in err
+def test_oversized_sweep_over_all_of_s_n_exits_two():
+    assert_refused_at_the_cap("verify", "prop5.8", "--n", "12")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "grade --all 20000",
+        "verify thm6.8 --n 20000",
+        "selfish --k 1000000",
+        "verify thm6.4 --n 1000000",
+        "grade --all 2000",
+        "verify thm6.4 --n 30000",
+        "verify cor3.6 --n 20000 --sample 1",
+        "selfish --k 100000",
+        "verify prop3.3 --k 50",
+    ],
+)
+def test_oversized_requests_fail_fast_at_any_size(command):
+    # each count is read only up to the cap, and never printed
+    assert_refused_at_the_cap(*command.split())
 
 
 @pytest.mark.parametrize(
@@ -274,10 +298,8 @@ def test_oversized_sweep_over_all_of_s_n_exits_two(capsys):
         ],
     ],
 )
-def test_oversized_selfish_enumerations_exit_two(capsys, argv):
-    code, _, err = run(capsys, *argv)
-    assert code == 2
-    assert "more than the cap" in err
+def test_oversized_selfish_enumerations_exit_two(argv):
+    assert_refused_at_the_cap(*argv)
 
 
 def test_grade_without_arguments_is_a_usage_error(capsys):

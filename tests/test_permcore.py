@@ -94,9 +94,14 @@ def test_reduced_words_of_4132():
 
 
 def test_canonical_word_is_lex_smallest():
-    for w in all_permutations(4):
-        words = sorted(rw.letters for rw in enumerate_reduced_words(w))
-        assert canonical_reduced_word(w).letters == words[0]
+    for n in range(1, 6):
+        for w in all_permutations(n):
+            words = sorted(rw.letters for rw in enumerate_reduced_words(w))
+            assert canonical_reduced_word(w).letters == words[0], w
+    # the longest element of S_50 has length 1225, past the recursion limit
+    w0 = Permutation(range(50, 0, -1))
+    staircase = tuple(i for k in range(1, 50) for i in range(k, 0, -1))
+    assert canonical_reduced_word(w0).letters == staircase
 
 
 def test_enumeration_guard_raises(monkeypatch):

@@ -40,12 +40,6 @@ def test_shape_validation():
     assert str(YoungShape((3, 1))) == "3,1"
 
 
-def test_transpose_is_an_involution():
-    mu = YoungShape((4, 2, 2, 1))
-    assert mu.transpose().parts == (4, 3, 1, 1)
-    assert mu.transpose().transpose() == mu
-
-
 def test_shape_examples():
     assert rs_shape(Permutation((1, 2, 3))).parts == (3,)
     assert rs_shape(Permutation((3, 2, 1))).parts == (1, 1, 1)
@@ -68,8 +62,17 @@ def test_a_function_values():
         w0 = Permutation(tuple(range(n, 0, -1)))
         assert a_function(w0) == n * (n - 1) // 2
         assert a_function(Permutation.identity(n)) == 0
-    # one fixed value by hand: shape (2,2), transpose (2,2), a = 1 + 1
+    # one fixed value by hand: shape (2,2), a = 0*2 + 1*2, or C(2,2) + C(2,2)
+    # over its two columns of height 2
     assert a_function(Permutation((2, 1, 4, 3))) == 2
+
+
+def test_a_function_is_the_sum_over_columns():
+    for n in range(1, 7):
+        for w in all_permutations(n):
+            parts = rs_shape(w).parts
+            columns = [sum(1 for p in parts if p >= j) for j in range(1, parts[0] + 1)]
+            assert a_function(w) == sum(c * (c - 1) // 2 for c in columns), w
 
 
 def test_second_row_counts_runs_for_boolean_elements():

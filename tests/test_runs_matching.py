@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from itertools import permutations
@@ -16,6 +17,7 @@ from boolbruhat.bruhat import (
 from boolbruhat.permcore import (
     Permutation,
     ReducedWord,
+    all_permutations,
     boolean_permutations,
     enumerate_reduced_words,
     format_permutation,
@@ -189,6 +191,22 @@ def test_matching_steps_partition_the_ideal():
         x.images for x in cert.over.elements
     )
     assert check_matching(cert) is None
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (4, "f1e6b5d926d8592429226f486bd4c79a4ed2ab7ef6d2f9c3ce2a06f9631f3e86"),
+        (5, "d0964dd3112f3b3e7990a43f69de2482bdab6dfbecf4aeb77af5b9d1178336e3"),
+    ],
+)
+def test_matching_steps_and_their_order_are_pinned(n, digest):
+    text = "\n".join(
+        matching_to_json(build_matching(v, w))
+        for v in boolean_permutations(n)
+        for w in all_permutations(n)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_checker_rejects_corrupted_certificates():
