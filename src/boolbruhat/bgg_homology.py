@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -266,8 +265,9 @@ def _first_nonzero_position(
     """Smallest i < stop_at with nonzero homology at -i of the complex on
     the ideal with sorted indices on, scanning from position 0 and computing
     ranks lazily: it reads dims[i] for i < stop_at and the matrices up to
-    index stop_at, so on may leave out every element below length
-    top_length - stop_at (grade's cut).
+    index stop_at, so it keeps only the elements of on at or above length
+    top_length - stop_at (grade's cut), and a fallback builds the complex
+    on those alone.
 
     Ranks are taken over GF(2) first, on rows whose bits are the covers
     among the keys of signs.sign. A rank mod 2 is at most the rational
@@ -296,7 +296,7 @@ def _first_nonzero_position(
             nxt_rank = _gf2_rank(rows)
         if len(basis[i]) - prev_rank - nxt_rank > 0:
             if c is None:
-                c = build_complex(on, top_length, signs)
+                c = build_complex([k for level in basis for k in level], top_length, signs)
             prev_rank = integer_rank(c.matrices[i])
             nxt_rank = integer_rank(c.matrices[i + 1]) if i < top_length else 0
             if c.dims[i] - prev_rank - nxt_rank > 0:
@@ -332,10 +332,9 @@ def _grade(
     The u and their intersections come from _scan; the identity, which it
     skips, supplies the l(w) baseline. A u whose intersection tops out at
     length r0 with l(w) - r0 at or above the bound is skipped unbuilt,
-    since its first nonzero position cannot beat the bound. The others are
-    cut to positions 0..bound: elements below length l(w) - bound are left
-    out, since the position scan reads ranks only up to the bound, so only
-    those matrices are filled."""
+    since its first nonzero position cannot beat the bound. The others go
+    to the position scan with the bound as its stop, which cuts them to
+    positions 0..bound, so only those matrices are filled."""
     if signs.degree != w.n:
         raise DegreeMismatchError(
             f"sign assignment of degree {signs.degree} for w in S_{w.n}"
@@ -346,18 +345,15 @@ def _grade(
     elements = signs.elements
     best = w.length
     witness = e
-    keep = -1  # the bits of elements at or above length l(w) - best
     for k, mask, ideal in _scan(signs, signs.index[w.images]):
         if best <= enough:
             break
         if w.length - elements[ideal[mask.bit_length() - 1]].length >= best:
             continue
-        i = _first_nonzero_position(_members(mask & keep, ideal), w.length, signs, best)
+        i = _first_nonzero_position(_members(mask, ideal), w.length, signs, best)
         u = elements[k]
         if i is not None and i < best:
             best, witness = i, u
-            cut = bisect_left(ideal, w.length - best, key=lambda j: elements[j].length)
-            keep = -1 << cut
         if record is not None and i is not None:
             record[u] = i
     return GradeReport(w, best, witness)

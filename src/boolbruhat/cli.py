@@ -6,6 +6,7 @@ cap errors, or a verify sweep that checked no case.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -43,7 +44,7 @@ from .runs_matching import (
     optimal_rank,
     run_decompose,
 )
-from .verify import K_PARAM_CHECKS, SAMPLING_CHECKS, THEOREM_CHECKS
+from .verify import THEOREM_CHECKS
 
 
 # the formats other than text that each command prints; "grade --all" is the
@@ -56,6 +57,19 @@ FORMATS = {
     "selfish": {"json"},
     "export": {"json", "dot"},
 }
+
+# the verify flag, and its metavar, of each check parameter that has one;
+# a parameter with no default gives a required flag, and seed is the
+# global --seed
+CHECK_FLAGS = {"n": ("--n", "N"), "k_max": ("--k", "K"), "sample": ("--sample", "K")}
+
+
+def size(text: str) -> int:
+    """A count or degree flag's value, which must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
 
 
 def _read_element(args, text: str):
@@ -178,17 +192,11 @@ def cmd_selfish(args) -> int:
 
 def cmd_verify(args) -> int:
     check = THEOREM_CHECKS[args.theorem]
-    kwargs = {}
-    if args.theorem in K_PARAM_CHECKS:
-        flag, first = "--k", args.k if args.k is not None else 15
-    else:
-        flag, first = "--n", args.n
-    if args.sample is not None:
-        kwargs["sample"] = args.sample
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    result = check(first, **kwargs)
-    sized = f"{args.theorem} {flag} {first}"
+    params = inspect.signature(check).parameters
+    kwargs = {name: getattr(args, name) for name in params if getattr(args, name) is not None}
+    result = check(**kwargs)
+    first = next(iter(params))
+    sized = f"{args.theorem} {CHECK_FLAGS[first][0]} {kwargs[first]}"
     if not result.checked:
         print(f"error: {sized} checks no case", file=sys.stderr)
         return 2
@@ -265,8 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_intersect)
 
     p = sub.add_parser("grade", help="grade of one simple module, or a full table")
-    p.add_argument("w", nargs="?")
-    p.add_argument("--all", type=int, default=None, metavar="N")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("w", nargs="?")
+    group.add_argument("--all", type=size, metavar="N")
     _add_rw_flags(p)
     p.set_defaults(func=cmd_grade)
 
@@ -291,16 +300,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_afun)
 
     p = sub.add_parser("selfish", help="maximal selfish subsets")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--universe", default=None)
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--k", type=size, metavar="K")
+    group.add_argument("--universe")
     p.set_defaults(func=cmd_selfish)
 
     p = sub.add_parser("verify", help="run one named verification sweep")
-    p.add_argument("theorem", choices=sorted(THEOREM_CHECKS))
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--sample", type=int, default=None)
     p.set_defaults(func=cmd_verify)
+    checks = p.add_subparsers(dest="theorem", required=True)
+    for name, check in sorted(THEOREM_CHECKS.items()):
+        c = checks.add_parser(name, help=check.__doc__.split(".")[0])
+        for param in inspect.signature(check).parameters.values():
+            if param.name in CHECK_FLAGS:
+                flag, metavar = CHECK_FLAGS[param.name]
+                required = param.default is param.empty
+                c.add_argument(
+                    flag, dest=param.name, type=size, metavar=metavar, required=required,
+                    default=None if required else param.default,
+                )
 
     p = sub.add_parser("export", help="DOT or JSON of an intersection ideal")
     p.add_argument("v")
@@ -315,14 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "selfish" and (args.k is None) == (args.universe is None):
-        parser.error("selfish takes one of --k and --universe")
-    if args.command == "grade" and (args.w is None) == (args.all is None):
-        parser.error("grade takes one of a permutation and --all N")
-    for flag in ("n", "k", "sample", "all"):
-        value = getattr(args, flag, None)
-        if value is not None and value < 1:
-            parser.error(f"--{flag} must be at least 1")
     command = args.command
     if command == "grade" and args.all is not None:
         command = "grade --all"
@@ -336,16 +345,6 @@ def main(argv=None) -> int:
         parser.error("intersect --format dot draws the enumerated ideal, not --closed-form")
     if args.seed is not None and getattr(args, "sample", None) is None:
         parser.error("--seed applies only to verify with --sample")
-    if args.command == "verify":
-        if args.theorem in K_PARAM_CHECKS:
-            if args.n is not None:
-                parser.error(f"{args.theorem} takes --k, not --n")
-        elif args.k is not None:
-            parser.error(f"--k applies only to {', '.join(sorted(K_PARAM_CHECKS))}")
-        elif args.n is None:
-            parser.error(f"{args.theorem} requires --n")
-        if args.sample is not None and args.theorem not in SAMPLING_CHECKS:
-            parser.error(f"--sample applies only to {', '.join(sorted(SAMPLING_CHECKS))}")
     try:
         return args.func(args)
     except (CapExceededError, ValueError) as exc:

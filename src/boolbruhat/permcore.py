@@ -354,6 +354,12 @@ def boolean_permutations(n: int) -> list[Permutation]:
             if i - 1 in word:
                 grown.append((i,) + word)
         words = grown
-    out = [Permutation.from_word(word, n) for word in words]
+    out = []
+    for word in words:
+        # a word of distinct letters is reduced, so its length is its size
+        images = list(range(1, n + 1))
+        for i in word:
+            images[i - 1], images[i] = images[i], images[i - 1]
+        out.append(Permutation._of_valid(tuple(images), len(word)))
     out.sort(key=lambda w: (w.length, w.images))
     return out

@@ -5,7 +5,8 @@ claim, one case at a time, and yields one verdict per case: a human-readable
 counterexample line when the case fails, a false value when it holds. The
 `sweep` decorator runs it, returns a `Sweep` (the counterexample lines, empty
 on success, and `checked`, the number of cases) and registers it in
-`THEOREM_CHECKS` under the claim's name, check_thm6_8 as "thm6.8".
+`THEOREM_CHECKS` under the claim's name, check_thm6_8 as "thm6.8". The
+CLI reads each check's `verify` flags off its signature.
 Oracles used here recompute results by independent means: reduced-word
 enumeration for orientations, brute-force subset scans for selfish families,
 and a subword closure for slimming.
@@ -114,7 +115,7 @@ def _brute_maximal_selfish(universe) -> frozenset[frozenset[int]]:
 
 
 @sweep
-def check_prop3_3(k_max: int):
+def check_prop3_3(k_max: int = 15):
     """Recursion, product construction and brute force agree on Q_k; the
     brute force runs for k <= 16. A Q_{k_max} over the cap is refused first."""
     _capped_selfish_count([k_max])
@@ -411,7 +412,3 @@ def check_thm7_3(n: int):
             f"w={format_permutation(w)}: perfect {homological}, "
             f"longest parabolic {combinatorial}"
         )
-
-# checks whose first argument is a letter-range bound rather than a degree
-K_PARAM_CHECKS = {"prop3.3"}
-SAMPLING_CHECKS = {"cor3.6", "thm6.8"}

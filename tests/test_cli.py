@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import re
@@ -9,7 +10,7 @@ import pytest
 
 import boolbruhat
 from boolbruhat import verify
-from boolbruhat.cli import main
+from boolbruhat.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -355,3 +356,51 @@ def test_sizes_below_one_are_usage_errors_naming_the_flag(capsys, argv, flag):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"{flag} " in err and "at least 1" in err
+
+
+def check_parameters(theorem):
+    return inspect.signature(verify.THEOREM_CHECKS[theorem]).parameters
+
+
+def size_flag(theorem):
+    return ["--k", "1"] if "k_max" in check_parameters(theorem) else ["--n", "3"]
+
+
+def test_check_flags_are_pinned():
+    """The signatures give --sample to cor3.6 and thm6.8 and --k to prop3.3."""
+    checks = sorted(verify.THEOREM_CHECKS)
+    assert [t for t in checks if "sample" in check_parameters(t)] == ["cor3.6", "thm6.8"]
+    assert [t for t in checks if "k_max" in check_parameters(t)] == ["prop3.3"]
+
+
+def parses(argv):
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+        return False
+    return True
+
+
+@pytest.mark.parametrize("theorem", sorted(verify.THEOREM_CHECKS))
+def test_verify_flags_follow_the_check_signature(capsys, theorem):
+    params = check_parameters(theorem)
+    assert parses(["verify", theorem, *size_flag(theorem)])
+    assert parses(["verify", theorem, *size_flag(theorem), "--sample", "1"]) == (
+        "sample" in params
+    )
+    assert parses(["verify", theorem, "--k", "1"]) == ("k_max" in params)
+    if "n" in params:
+        assert not parses(["verify", theorem])
+        assert "the following arguments are required: --n" in capsys.readouterr().err
+    else:
+        assert parses(["verify", theorem])
+
+
+def test_verify_help_lists_every_check(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    listed = [t for t in verify.THEOREM_CHECKS if re.search(rf"^    {re.escape(t)} ", out, re.M)]
+    assert len(listed) == len(verify.THEOREM_CHECKS) == 15

@@ -149,7 +149,9 @@ def test_boolean_counts_small_degrees():
 def test_boolean_generator_matches_the_filter():
     for n in range(1, 9):
         oracle = [w for w in all_permutations(n) if is_boolean(w)]
-        assert boolean_permutations(n) == oracle, n
+        got = boolean_permutations(n)
+        assert got == oracle, n
+        assert [w.length for w in got] == [w.length for w in oracle], n
     for w in all_permutations(5):
         every_word_distinct = all(
             len(set(rw.letters)) == len(rw.letters) for rw in enumerate_reduced_words(w)
