@@ -7,9 +7,9 @@ of the intersection in closed form.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from functools import reduce
 from itertools import product
-from operator import le
+from operator import and_, le
 
 from .bruhat import RunWord
 from .permcore import (
@@ -27,22 +27,6 @@ class Orientation(enum.Enum):
     INCREASING = "increasing"
     DECREASING = "decreasing"
     INTERLACED = "interlaced"
-
-
-@dataclass(frozen=True)
-class SelfishFamily:
-    """All inclusion-maximal selfish subsets of a finite universe."""
-
-    universe: tuple[int, ...]
-    members: frozenset[frozenset[int]]
-
-
-@dataclass(frozen=True)
-class ObstructionSet:
-    """Minimal run subwords of v's word not below w."""
-
-    minimal_runs: frozenset[RunWord]
-    all_j_equal_1: bool
 
 
 def orientation(w: Permutation, k: int) -> Orientation:
@@ -162,11 +146,10 @@ def _selfish_product(intervals) -> list[frozenset[int]]:
     return [frozenset().union(*choice) for choice in product(*per_interval)]
 
 
-def maximal_selfish(universe) -> SelfishFamily:
-    """All maximal selfish subsets: products over interval components."""
-    universe = tuple(sorted(set(universe)))
-    members = _selfish_product(interval_components(universe))
-    return SelfishFamily(universe, frozenset(members))
+def maximal_selfish(universe) -> frozenset[frozenset[int]]:
+    """All maximal selfish subsets of the set of universe's values: products
+    over interval components."""
+    return frozenset(_selfish_product(interval_components(set(universe))))
 
 
 def _run_candidates(v: Permutation) -> list[RunWord]:
@@ -188,7 +171,7 @@ def _run_candidates(v: Permutation) -> list[RunWord]:
     return out
 
 
-def obstructions(v: Permutation, w: Permutation) -> ObstructionSet:
+def obstructions(v: Permutation, w: Permutation) -> frozenset[RunWord]:
     """Minimal run subwords of v's word that fail to lie below w.
 
     Each candidate is compared with w once. The two one-letter-shorter
@@ -202,15 +185,11 @@ def obstructions(v: Permutation, w: Permutation) -> ObstructionSet:
     candidates = _run_candidates(v)
     leq = _run_leq(w)
     below = {r.letters: leq(r) for r in candidates}
-    minimal = [
+    return frozenset(
         r
         for r in candidates
         if not below[r.letters]
         and (r.span == 0 or (below[r.letters[:-1]] and below[r.letters[1:]]))
-    ]
-    return ObstructionSet(
-        minimal_runs=frozenset(minimal),
-        all_j_equal_1=all(r.span <= 1 for r in minimal),
     )
 
 
@@ -218,11 +197,13 @@ def _run_leq(w: Permutation):
     """A test r -> (the permutation of run r lies below w), the answer of
     bruhat.run_word_leq, with the sorted prefixes of w built once.
 
-    The run a..a+b moves only the entries at positions a..a+b+1, so its
-    sorted prefixes differ from those of the identity, which lie below
-    every sorted prefix of w, only at the sizes a..a+b. The sorted-prefix
-    criterion (Bjorner-Brenti, Thm 2.6.3) is checked there alone, on the
-    run's one-line tuple.
+    By the sorted-prefix criterion (Bjorner-Brenti, Thm 2.6.3), u <= w
+    exactly when each prefix of u ending at a right descent of u, sorted,
+    lies entrywise below the same-size sorted prefix of w. The run a..a+b
+    has one right descent: the increasing run's one-line tuple is
+    1..a-1, a+1..a+b+1, a, ... with its descent at a+b, and the decreasing
+    run's is 1..a-1, a+b+1, a..a+b with its descent at a. So one sorted
+    prefix decides.
     """
     top = w.images
     prefixes = [sorted(top[:k]) for k in range(len(top))]
@@ -230,12 +211,10 @@ def _run_leq(w: Permutation):
     def leq(r: RunWord) -> bool:
         a, b = r.start, r.span
         if r.direction == "increasing":
-            images = (*range(1, a), *range(a + 1, a + b + 2), a)
+            size, prefix = a + b, (*range(1, a), *range(a + 1, a + b + 2))
         else:
-            images = (*range(1, a), a + b + 1, *range(a, a + b + 1))
-        return all(
-            all(map(le, sorted(images[:k]), prefixes[k])) for k in range(a, a + b + 1)
-        )
+            size, prefix = a, (*range(1, a), a + b + 1)
+        return all(map(le, prefix, prefixes[size]))
 
     return leq
 
@@ -278,35 +257,50 @@ def intersection_maximal_closed_form(
     """
     if not is_boolean(v):
         raise ValueError("closed form requires boolean v")
-    obs = obstructions(v, w)
-    supports: set[frozenset[int]]
-    if obs.all_j_equal_1:
-        pairs = [r.letter_set for r in obs.minimal_runs if r.span == 1]
+    runs = obstructions(v, w)
+    if all(r.span <= 1 for r in runs):
+        pairs = [r.letter_set for r in runs if r.span == 1]
         base = (support(v) & support(w)) - frozenset().union(*pairs)
         supports = {base | s for s in _selfish_product(_pair_chains(pairs))}
     else:
-        forbidden = [r.letter_set for r in obs.minimal_runs]
-        admissible = [
-            subset
-            for subset in _all_subsets(support(v))
-            if not any(f <= subset for f in forbidden)
-        ]
-        supports = {
-            t for t in admissible if not any(t < other for other in admissible)
-        }
+        supports = _maximal_admissible(support(v), [r.letter_set for r in runs])
     out = [subword_element(v, t) for t in supports]
     out.sort(key=lambda x: x.images)
     return out
 
 
-def _all_subsets(universe) -> list[frozenset[int]]:
-    """Raises CapExceededError, before building any, above the cap."""
+def _maximal_admissible(universe, forbidden) -> set[frozenset[int]]:
+    """The inclusion-maximal subsets of universe that contain no set of
+    forbidden. Bit i of a mask stands for the i-th smallest letter, and a
+    family of masks is one int whose bit m stands for mask m, so each step
+    acts on all masks at once. Admissible sets are closed under removal, so
+    an admissible m is maximal exactly when no m + (1 << i), m without bit
+    i, is admissible. Raises CapExceededError, before building any family,
+    above the cap."""
     values = sorted(universe)
-    if 1 << len(values) > ENUMERATION_CAP:
+    size = 1 << len(values)
+    if size > ENUMERATION_CAP:
         raise CapExceededError(
             f"2^{len(values)} subsets, more than the cap {ENUMERATION_CAP}"
         )
-    out = []
-    for mask in range(1 << len(values)):
-        out.append(frozenset(v for i, v in enumerate(values) if mask >> i & 1))
-    return out
+    index = {x: i for i, x in enumerate(values)}
+    has = [_masks_with_bit(i, size) for i in range(len(values))]
+    admissible = (1 << size) - 1
+    for f in forbidden:
+        admissible &= ~reduce(and_, (has[index[x]] for x in f), -1)
+    maximal = admissible
+    for i, with_i in enumerate(has):
+        maximal &= ~(admissible >> (1 << i)) | with_i
+    bits = bin(maximal)[:1:-1]
+    return {frozenset(x for x, i in index.items() if m >> i & 1)
+            for m, bit in enumerate(bits) if bit == "1"}
+
+
+def _masks_with_bit(i: int, size: int) -> int:
+    """The family of masks below size with bit i: the upper half of each
+    run of 2 << i masks."""
+    family, width = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
+    while width < size:
+        family |= family << width
+        width *= 2
+    return family

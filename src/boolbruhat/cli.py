@@ -25,6 +25,7 @@ from .bruhat import (
     maximal_elements,
 )
 from .permcore import (
+    ENUMERATION_CAP,
     CapExceededError,
     canonical_reduced_word,
     descents,
@@ -74,14 +75,24 @@ def size(text: str) -> int:
 
 def _read_element(args, text: str):
     """Parsing accepts any degree, so purely combinatorial commands run on
-    large examples; only the enumerations are capped."""
+    large examples; only the enumerations are capped. Reduced words are the
+    exception: their degree costs a list of that many entries, so it is
+    refused above the cap before anything is built."""
     if getattr(args, "rw", False):
-        degree = args.rw_degree
-        if degree is None:
-            # one S_n for every word of the command, so v and w share it
-            words = " ".join(getattr(args, name, None) or "" for name in ("v", "w"))
-            letters = [int(tok) for tok in words.replace(",", " ").split()]
-            degree = max(letters, default=0) + 1
+        # one S_n for every word of the command, so v and w share it
+        words = " ".join(getattr(args, name, None) or "" for name in ("v", "w"))
+        largest = max((int(tok) for tok in words.replace(",", " ").split()), default=0)
+        degree = largest + 1 if args.rw_degree is None else args.rw_degree
+        if degree <= largest:
+            raise ValueError(
+                f"--rw-degree {degree}: letter {largest} is out of range for "
+                f"S_{degree}; the words need --rw-degree {largest + 1} or more"
+            )
+        if degree > ENUMERATION_CAP:
+            raise CapExceededError(
+                f"reduced-word degree {degree} (--rw-degree, by default the largest "
+                f"letter + 1), more than the cap {ENUMERATION_CAP}"
+            )
         return parse_reduced_word(text.replace(",", " "), degree).permutation()
     return parse_permutation(text)
 
@@ -180,10 +191,9 @@ def cmd_selfish(args) -> int:
         universe = [int(tok) for tok in args.universe.split(",")]
     else:
         universe = range(1, args.k + 1)
-    family = maximal_selfish(universe)
-    members = sorted(sorted(m) for m in family.members)
+    members = sorted(sorted(m) for m in maximal_selfish(universe))
     if args.fmt == "json":
-        print(json.dumps({"universe": sorted(family.universe), "maximal": members}, indent=2))
+        print(json.dumps({"universe": sorted(set(universe)), "maximal": members}, indent=2))
     else:
         for m in members:
             print(",".join(str(x) for x in m) or "(empty)")
@@ -232,7 +242,8 @@ def _add_rw_flags(sub):
     sub.add_argument("--rw", action="store_true", help="inputs are reduced words")
     sub.add_argument(
         "--rw-degree",
-        type=int,
+        type=size,
+        metavar="N",
         default=None,
         help="degree for reduced-word input (default: largest letter + 1)",
     )

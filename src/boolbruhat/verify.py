@@ -120,7 +120,7 @@ def check_prop3_3(k_max: int = 15):
     brute force runs for k <= 16. A Q_{k_max} over the cap is refused first."""
     _capped_selfish_count([k_max])
     for k in range(1, k_max + 1):
-        family = maximal_selfish(range(1, k + 1)).members
+        family = maximal_selfish(range(1, k + 1))
         yield len(family) != selfish_count(k) and (
             f"k={k}: count recursion gives {selfish_count(k)}, family has {len(family)}"
         )
@@ -137,7 +137,7 @@ def check_prop3_5(n: int):
     for v in boolean_permutations(n):
         below_v = [(x, support(x)) for x in principal_ideal(v).sorted_elements()]
         for w in everyone:
-            forbidden = [r.letter_set for r in obstructions(v, w).minimal_runs]
+            forbidden = [r.letter_set for r in obstructions(v, w)]
             ideal = intersect_ideals(v, w)
             for x, letters in below_v:
                 member = x in ideal.elements
@@ -206,12 +206,33 @@ def check_thm3_10(n: int):
             )
 
 
+def _certified_ideal(
+    v: Permutation, w: Permutation, cert: MatchingCertificate, signs: SignAssignment
+) -> list[int] | None:
+    """The indices of B(v) /\\ B(w) (v boolean) in increasing order, read off
+    the sign assignment's boolean masks with no ideal walk; None when cert
+    is over any other ideal."""
+    masks = signs.masks
+    both = masks.mask[signs.index[v.images]] & masks.mask[signs.index[w.images]]
+    on = []
+    while both:
+        # the set bits of both, lowest first; masks.boolean is in index order
+        low = both & -both
+        on.append(masks.boolean[low.bit_length() - 1])
+        both ^= low
+    if sorted(signs.index[x.images] for x in cert.over.elements) != on:
+        return None
+    return on
+
+
 def _matching_homology_report(
-    v: Permutation, cert: MatchingCertificate, signs: SignAssignment
+    v: Permutation, w: Permutation, cert: MatchingCertificate, signs: SignAssignment
 ) -> str | None:
-    """Lemma check for one pair whose certificate is valid: the matched ideal
-    forces the predicted homology."""
-    on = sorted(signs.index[x.images] for x in cert.over.elements)
+    """Lemma check for one pair whose certificate is valid: the certificate
+    is over B(v) /\\ B(w), and that ideal forces the predicted homology."""
+    on = _certified_ideal(v, w, cert, signs)
+    if on is None:
+        return "certificate ideal is not B(v) /\\ B(w)"
     ranks = homology_ranks(build_complex(on, v.length, signs))
     singles = cert.singletons()
     if not singles:
@@ -240,7 +261,7 @@ def _matching_sweep(n: int, perfect: bool):
             if problem is not None:
                 report = f"invalid certificate: {problem}"
             else:
-                report = _matching_homology_report(v, cert, signs)
+                report = _matching_homology_report(v, w, cert, signs)
             yield report and f"v={format_permutation(v)} w={format_permutation(w)}: {report}"
 
 
@@ -259,13 +280,17 @@ def check_lem4_4(n: int):
 
 @sweep
 def check_prop5_8(n: int):
-    """Every constructed matching is perfect or bounded by l(v) - run(v)."""
-    everyone = all_permutations(n)
+    """Every constructed matching is perfect or bounded by l(v) - run(v).
+    Each certificate is checked against the sign assignment's B(v) /\\ B(w),
+    so S_n's sign assignment is built first, and refused above the cap."""
+    signs = build_sign_assignment(n)
     for v in boolean_permutations(n):
         bound = optimal_rank(v)
-        for w in everyone:
+        for w in signs.elements:
             cert = build_matching(v, w)
             problem = check_matching(cert)
+            if problem is None and _certified_ideal(v, w, cert, signs) is None:
+                problem = "its ideal is not B(v) /\\ B(w)"
             if problem is not None:
                 yield (
                     f"v={format_permutation(v)} w={format_permutation(w)}: "
@@ -340,7 +365,7 @@ def check_thm5_10(n: int):
                 f"{[z.length for z in singles]}, expected one at {expected}"
             )
             continue
-        report = _matching_homology_report(v, cert, signs)
+        report = _matching_homology_report(v, w, cert, signs)
         yield report and f"v={format_permutation(v)}: {report}"
 
 

@@ -4,8 +4,8 @@ import re
 import pytest
 
 from boolbruhat.boolean_intersect import (
-    ObstructionSet,
     Orientation,
+    _maximal_admissible,
     _run_candidates,
     _run_leq,
     increasing_pairs,
@@ -17,9 +17,10 @@ from boolbruhat.boolean_intersect import (
     selfish_count,
     subword_element,
 )
-from boolbruhat import bruhat, verify
+from boolbruhat import boolean_intersect, bruhat, verify
 from boolbruhat.bruhat import bruhat_leq, intersect_ideals, maximal_elements, run_word_leq
 from boolbruhat.permcore import (
+    CapExceededError,
     DegreeMismatchError,
     Permutation,
     all_permutations,
@@ -41,11 +42,11 @@ def fs(*xs):
 
 
 def test_selfish_lists_small_universes():
-    assert maximal_selfish(range(1, 2)).members == {fs(1)}
-    assert maximal_selfish(range(1, 3)).members == {fs(1), fs(2)}
-    assert maximal_selfish(range(1, 4)).members == {fs(1, 3), fs(2)}
-    assert maximal_selfish(range(1, 5)).members == {fs(1, 3), fs(2, 4), fs(1, 4)}
-    assert maximal_selfish(range(1, 6)).members == {
+    assert maximal_selfish(range(1, 2)) == {fs(1)}
+    assert maximal_selfish(range(1, 3)) == {fs(1), fs(2)}
+    assert maximal_selfish(range(1, 4)) == {fs(1, 3), fs(2)}
+    assert maximal_selfish(range(1, 5)) == {fs(1, 3), fs(2, 4), fs(1, 4)}
+    assert maximal_selfish(range(1, 6)) == {
         fs(1, 3, 5),
         fs(2, 5),
         fs(2, 4),
@@ -61,7 +62,7 @@ def test_selfish_counts_follow_two_step_recursion():
 
 @pytest.mark.parametrize("k", range(1, 13))
 def test_selfish_family_matches_brute_force(k):
-    assert maximal_selfish(range(1, k + 1)).members == _brute_maximal_selfish(
+    assert maximal_selfish(range(1, k + 1)) == _brute_maximal_selfish(
         range(1, k + 1)
     )
 
@@ -71,7 +72,7 @@ def test_selfish_universe_is_a_set():
 
 
 def test_selfish_family_factors_over_gaps():
-    family = maximal_selfish({1, 2, 5, 6, 7}).members
+    family = maximal_selfish({1, 2, 5, 6, 7})
     assert family == {
         fs(1, 5, 7),
         fs(1, 6),
@@ -130,15 +131,15 @@ def test_obstruction_runs_for_two_known_pairs():
     v = Permutation.from_word((3, 2, 1), 4)
     w = Permutation.from_word((2, 1, 3, 2), 4)
     obs = obstructions(v, w)
-    runs = {(r.start, r.span, r.direction) for r in obs.minimal_runs}
+    runs = {(r.start, r.span, r.direction) for r in obs}
     assert runs == {(1, 2, "decreasing")}
 
     v = Permutation.from_word((3, 2, 1, 4, 5), 6)
     w = Permutation.from_word((4, 5, 2, 1, 3, 2, 4), 6)
     obs = obstructions(v, w)
-    runs = {(r.start, r.span, r.direction) for r in obs.minimal_runs}
+    runs = {(r.start, r.span, r.direction) for r in obs}
     assert runs == {(1, 2, "decreasing"), (3, 2, "increasing")}
-    assert not obs.all_j_equal_1
+    assert not all(r.span <= 1 for r in obs)
 
 
 def test_obstructions_reject_mixed_degrees():
@@ -164,7 +165,7 @@ def test_obstructions_match_the_brute_force():
             for _ in range(4):
                 w = Permutation(rng.sample(range(1, n + 1), n))
                 obs = obstructions(v, w)
-                assert obs.minimal_runs == brute_minimal_runs(v, w), (v, w)
+                assert obs == brute_minimal_runs(v, w), (v, w)
 
 
 def test_subword_element_picks_letters_in_word_order():
@@ -229,6 +230,59 @@ def test_closed_form_with_nonadjacent_conflicting_pairs():
     assert maxima == maximal_elements(intersect_ideals(v, w))
 
 
+def quadratic_maximal_admissible(universe, forbidden):
+    """Oracle: every subset of universe, then the admissible ones that no
+    other admissible subset strictly contains."""
+    values = sorted(universe)
+    subsets = [
+        frozenset(x for i, x in enumerate(values) if m >> i & 1)
+        for m in range(1 << len(values))
+    ]
+    admissible = [t for t in subsets if not any(f <= t for f in forbidden)]
+    return {t for t in admissible if not any(t < other for other in admissible)}
+
+
+def test_bitmask_maxima_match_the_quadratic_scan():
+    rng = random.Random(30)
+    for size in range(10):
+        for _ in range(12):
+            universe = rng.sample(range(1, 14), size)
+            # runs of consecutive letters, the shape of obstruction runs
+            intervals = [
+                frozenset(iv[i:j])
+                for iv in interval_components(universe)
+                for i in range(len(iv))
+                for j in range(i + 1, len(iv) + 1)
+            ]
+            families = [[], rng.sample(intervals, min(len(intervals), rng.randint(1, 4)))]
+            if universe:
+                families.append([frozenset({rng.choice(universe)})])
+                families.append(
+                    [frozenset(rng.sample(universe, rng.randint(1, size))) for _ in range(3)]
+                )
+            for forbidden in families:
+                got = _maximal_admissible(universe, forbidden)
+                assert got == quadratic_maximal_admissible(universe, forbidden), (
+                    universe, forbidden,
+                )
+    assert _maximal_admissible({2, 5, 6}, []) == {fs(2, 5, 6)}
+    assert _maximal_admissible({2, 5, 6}, [fs(5)]) == {fs(2, 6)}
+    assert _maximal_admissible(set(), []) == {fs()}
+
+
+def test_general_branch_refuses_above_the_cap(monkeypatch):
+    v = Permutation.from_word((3, 2, 1, 4, 5), 6)
+    w = Permutation.from_word((4, 5, 2, 1, 3, 2, 4), 6)
+    assert len(support(v)) == 5
+    assert not all(r.span <= 1 for r in obstructions(v, w))
+    want = intersection_maximal_closed_form(v, w)
+    monkeypatch.setattr(boolean_intersect, "ENUMERATION_CAP", 2**5)
+    assert intersection_maximal_closed_form(v, w) == want
+    monkeypatch.setattr(boolean_intersect, "ENUMERATION_CAP", 2**5 - 1)
+    with pytest.raises(CapExceededError, match=r"2\^5 subsets, more than the cap 31"):
+        intersection_maximal_closed_form(v, w)
+
+
 def test_closed_form_of_self_intersection_is_the_element():
     for images in [(1, 2, 3), (2, 1, 3), (3, 1, 2)]:
         v = Permutation(images)
@@ -245,7 +299,7 @@ def test_membership_is_obstruction_run_avoidance(n):
 
 
 def test_membership_check_reports_missing_obstructions(monkeypatch):
-    monkeypatch.setattr(verify, "obstructions", lambda v, w: ObstructionSet(frozenset(), True))
+    monkeypatch.setattr(verify, "obstructions", lambda v, w: frozenset())
     bad = check_prop3_5(3)
     assert bad and all(re.match(r"v=\S+ w=\S+ x=\S+: membership False, predicted True$", line)
                        for line in bad)

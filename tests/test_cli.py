@@ -248,6 +248,38 @@ def test_verify_honours_the_degree_cap():
     assert_refused_at_the_cap("verify", "thm6.8", "--n", "9")
 
 
+@pytest.mark.parametrize(
+    "argv, need",
+    [
+        (["rs", "--rw", "1", "--rw-degree", "1"], 2),
+        (["ork", "--rw", "--rw-degree", "4", "2 4 1"], 5),
+        (["intersect", "--rw", "--rw-degree", "4", "1", "3 5"], 6),
+    ],
+)
+def test_rw_degree_below_the_words_names_the_smallest_degree(capsys, argv, need):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"error: --rw-degree {argv[argv.index('--rw-degree') + 1]}:" in err
+    assert f"need --rw-degree {need} or more" in err
+
+
+@pytest.mark.parametrize(
+    "argv, degree",
+    [
+        (["boolean", "--rw", "1", "--rw-degree", "1000001"], 1000001),
+        (["boolean", "--rw", "1", "--rw-degree", "100000000"], 100000000),
+        (["rs", "--rw", "1000000"], 1000001),
+    ],
+)
+def test_rw_degree_above_the_cap_is_refused_first(argv, degree):
+    done = run_cli(*argv)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith(
+        f"error: reduced-word degree {degree} (--rw-degree, by default the "
+        "largest letter + 1), more than the cap"
+    )
+
+
 def test_exit_codes_do_not_depend_on_assert():
     for argv, code in (
         (["verify", "thm7.2", "--n", "4"], 0),
@@ -277,6 +309,8 @@ def test_oversized_sweep_over_all_of_s_n_exits_two():
         "verify cor3.6 --n 20000 --sample 1",
         "selfish --k 100000",
         "verify prop3.3 --k 50",
+        # prop5.8 checks each certificate against the sign assignment's ideal
+        "verify prop5.8 --n 9",
     ],
 )
 def test_oversized_requests_fail_fast_at_any_size(command):
@@ -348,6 +382,8 @@ def test_flags_that_would_be_ignored_are_usage_errors(argv):
         (["verify", "thm2.4", "--n", "-1"], "--n"),
         (["grade", "--all", "-2"], "--all"),
         (["grade", "--all", "0"], "--all"),
+        (["boolean", "--rw", "1", "--rw-degree", "0"], "--rw-degree"),
+        (["rs", "--rw", "1", "--rw-degree", "-4"], "--rw-degree"),
     ],
 )
 def test_sizes_below_one_are_usage_errors_naming_the_flag(capsys, argv, flag):

@@ -411,3 +411,25 @@ def test_matching_sweeps_report_an_invalid_certificate(monkeypatch):
     assert "not covered by any step" in problem
     assert f"v=2,1,3 w=2,1,3: invalid certificate: {problem}" in verify.check_lem4_3(3)
     assert f"v=2,1,3: certificate invalid: {problem}" in verify.check_thm5_10(3)
+
+
+def test_matching_sweeps_report_a_certificate_of_another_ideal(monkeypatch):
+    """A valid certificate of B(v) /\\ B(e) handed out for every pair: every
+    pair whose intersection is larger is reported."""
+    real = verify.build_matching
+    monkeypatch.setattr(
+        verify, "build_matching", lambda v, w: real(v, Permutation.identity(v.n))
+    )
+    pairs = [(v, w) for v in boolean_permutations(4) for w in all_permutations(4)]
+    wrong = sum(len(intersect_ideals(v, w).elements) > 1 for v, w in pairs)
+    assert 0 < wrong < len(pairs)
+    for check, message in (
+        (verify.check_prop5_8, ": certificate invalid: its ideal is not B(v) /\\ B(w)"),
+        (verify.check_lem4_4, ": certificate ideal is not B(v) /\\ B(w)"),
+    ):
+        swept = check(4)
+        assert swept.checked == len(pairs)
+        assert len(swept) == wrong
+        assert all(line.endswith(message) for line in swept)
+    # every handed-out matching has its singleton, so none is perfect
+    assert verify.check_lem4_3(4).checked == 0
