@@ -221,21 +221,23 @@ def _run_leq(w: Permutation):
 
 def subword_element(v: Permutation, letters) -> Permutation:
     """The element of B(v) supported on the given letters (v boolean).
+    Letters outside supp(v) are dropped."""
+    return _subword_element(v.n, set(letters) & support(v), increasing_pairs(v))
 
-    Letters outside supp(v) are dropped. The kept letters are placed in
+
+def _subword_element(n: int, kept, increasing) -> Permutation:
+    """The element of B(v) supported on kept, a subset of supp(v), where
+    increasing is increasing_pairs(v). The kept letters are placed in
     increasing order; sigma_k commutes with every smaller letter but
     sigma_{k-1}, so k goes in front exactly when k-1 is kept and comes after
-    k in v.
-    """
-    kept = set(letters) & support(v)
-    increasing = increasing_pairs(v)
+    k in v."""
     word: list[int] = []
     for k in sorted(kept):
         if k - 1 in kept and k - 1 not in increasing:
             word.insert(0, k)
         else:
             word.append(k)
-    return Permutation.from_word(word, v.n)
+    return Permutation.from_word(word, n)
 
 
 def _pair_chains(pairs) -> list[tuple[int, ...]]:
@@ -258,13 +260,16 @@ def intersection_maximal_closed_form(
     if not is_boolean(v):
         raise ValueError("closed form requires boolean v")
     runs = obstructions(v, w)
+    supp = support(v)
     if all(r.span <= 1 for r in runs):
         pairs = [r.letter_set for r in runs if r.span == 1]
-        base = (support(v) & support(w)) - frozenset().union(*pairs)
+        base = (supp & support(w)) - frozenset().union(*pairs)
         supports = {base | s for s in _selfish_product(_pair_chains(pairs))}
     else:
-        supports = _maximal_admissible(support(v), [r.letter_set for r in runs])
-    out = [subword_element(v, t) for t in supports]
+        supports = _maximal_admissible(supp, [r.letter_set for r in runs])
+    # every support is a subset of supp(v)
+    increasing = increasing_pairs(v)
+    out = [_subword_element(v.n, t, increasing) for t in supports]
     out.sort(key=lambda x: x.images)
     return out
 

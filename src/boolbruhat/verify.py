@@ -19,6 +19,7 @@ from itertools import combinations
 
 from .bgg_homology import (
     SignAssignment,
+    _members,
     build_complex,
     build_sign_assignment,
     grade,
@@ -152,16 +153,17 @@ def check_prop3_5(n: int):
 def check_cor3_6(n: int, sample: int | None = None, seed: int = 0):
     """Closed-form maximal elements equal the enumerated ones."""
     booleans = boolean_permutations(n)
+    # the pairs are drawn one at a time, so the pair list is never held
     if sample is None:
         everyone = all_permutations(n)
-        pairs = [(v, w) for v in booleans for w in everyone]
+        pairs = ((v, w) for v in booleans for w in everyone)
     else:
         # w is a seeded shuffle of 1..n, so S_n is never enumerated
         rng = random.Random(seed)
-        pairs = [
+        pairs = (
             (rng.choice(booleans), Permutation(rng.sample(range(1, n + 1), n)))
             for _ in range(sample)
-        ]
+        )
     for v, w in pairs:
         closed = intersection_maximal_closed_form(v, w)
         enumerated = maximal_elements(intersect_ideals(v, w))
@@ -206,46 +208,31 @@ def check_thm3_10(n: int):
             )
 
 
-def _certified_ideal(
+def _certificate_problem(
     v: Permutation, w: Permutation, cert: MatchingCertificate, signs: SignAssignment
-) -> list[int] | None:
-    """The indices of B(v) /\\ B(w) (v boolean) in increasing order, read off
-    the sign assignment's boolean masks with no ideal walk; None when cert
-    is over any other ideal."""
+) -> tuple[str | None, list[int]]:
+    """The failure text of cert as a matching of B(v) /\\ B(w) (v boolean),
+    or None when it is one, and the indices of that ideal in increasing
+    order, read off the sign assignment's boolean masks with no ideal walk."""
     masks = signs.masks
     both = masks.mask[signs.index[v.images]] & masks.mask[signs.index[w.images]]
-    on = []
-    while both:
-        # the set bits of both, lowest first; masks.boolean is in index order
-        low = both & -both
-        on.append(masks.boolean[low.bit_length() - 1])
-        both ^= low
-    if sorted(signs.index[x.images] for x in cert.over.elements) != on:
-        return None
-    return on
+    on = _members(both, masks.boolean)
+    problem = check_matching(cert)
+    if problem is None and sorted(signs.index[x.images] for x in cert.over.elements) != on:
+        problem = "its ideal is not B(v) /\\ B(w)"
+    return problem and f"certificate invalid: {problem}", on
 
 
-def _matching_homology_report(
-    v: Permutation, w: Permutation, cert: MatchingCertificate, signs: SignAssignment
+def _homology_problem(
+    v: Permutation, cert: MatchingCertificate, on: list[int], signs: SignAssignment
 ) -> str | None:
-    """Lemma check for one pair whose certificate is valid: the certificate
-    is over B(v) /\\ B(w), and that ideal forces the predicted homology."""
-    on = _certified_ideal(v, w, cert, signs)
-    if on is None:
-        return "certificate ideal is not B(v) /\\ B(w)"
+    """Lemmas 4.3 and 4.4 for a valid certificate over the ideal on: its
+    complex has no homology but one class at l(z) - l(v) for the singleton
+    z, and none when the matching is perfect."""
     ranks = homology_ranks(build_complex(on, v.length, signs))
-    singles = cert.singletons()
-    if not singles:
-        if any(ranks.values()):
-            return f"perfect matching but homology {ranks}"
-        return None
-    z = singles[0]
-    expected = -(v.length - z.length)
-    for pos, h in ranks.items():
-        want = 1 if pos == expected else 0
-        if h != want:
-            return f"singleton at rank {z.length} but homology {ranks}"
-    return None
+    got = {pos: h for pos, h in ranks.items() if h}
+    want = {z.length - v.length: 1 for z in cert.singletons()}
+    return f"nonzero homology {got}, expected {want}" if got != want else None
 
 
 def _matching_sweep(n: int, perfect: bool):
@@ -257,11 +244,8 @@ def _matching_sweep(n: int, perfect: bool):
             cert = build_matching(v, w)
             if cert.is_perfect != perfect:
                 continue
-            problem = check_matching(cert)
-            if problem is not None:
-                report = f"invalid certificate: {problem}"
-            else:
-                report = _matching_homology_report(v, w, cert, signs)
+            problem, on = _certificate_problem(v, w, cert, signs)
+            report = problem or _homology_problem(v, cert, on, signs)
             yield report and f"v={format_permutation(v)} w={format_permutation(w)}: {report}"
 
 
@@ -288,20 +272,13 @@ def check_prop5_8(n: int):
         bound = optimal_rank(v)
         for w in signs.elements:
             cert = build_matching(v, w)
-            problem = check_matching(cert)
-            if problem is None and _certified_ideal(v, w, cert, signs) is None:
-                problem = "its ideal is not B(v) /\\ B(w)"
-            if problem is not None:
-                yield (
-                    f"v={format_permutation(v)} w={format_permutation(w)}: "
-                    f"certificate invalid: {problem}"
-                )
-                continue
+            problem, _ = _certificate_problem(v, w, cert, signs)
             singles = cert.singletons()
-            yield singles and singles[0].length > bound and (
-                f"v={format_permutation(v)} w={format_permutation(w)}: "
-                f"singleton rank {singles[0].length} exceeds {bound}"
+            report = problem or (
+                singles and singles[0].length > bound
+                and f"singleton rank {singles[0].length} exceeds {bound}"
             )
+            yield report and f"v={format_permutation(v)} w={format_permutation(w)}: {report}"
 
 
 def subword_closure(letters: tuple[int, ...], n: int) -> frozenset[Permutation]:
@@ -353,19 +330,15 @@ def check_thm5_10(n: int):
             continue
         w = optimal_partner(v)
         cert = build_matching(v, w)
-        problem = check_matching(cert)
-        if problem is not None:
-            yield f"v={format_permutation(v)}: certificate invalid: {problem}"
-            continue
-        singles = cert.singletons()
+        problem, on = _certificate_problem(v, w, cert, signs)
+        lengths = [z.length for z in cert.singletons()]
         expected = optimal_rank(v)
-        if len(singles) != 1 or singles[0].length != expected:
-            yield (
-                f"v={format_permutation(v)}: singleton ranks "
-                f"{[z.length for z in singles]}, expected one at {expected}"
-            )
-            continue
-        report = _matching_homology_report(v, w, cert, signs)
+        report = (
+            problem
+            or lengths != [expected]
+            and f"singleton ranks {lengths}, expected one at {expected}"
+            or _homology_problem(v, cert, on, signs)
+        )
         yield report and f"v={format_permutation(v)}: {report}"
 
 

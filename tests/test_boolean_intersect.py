@@ -293,6 +293,28 @@ def test_sampled_closed_form_check_reaches_degree_twelve():
     assert check_cor3_6(12, sample=20, seed=0) == []
 
 
+def test_exhaustive_closed_form_check_draws_its_pairs_one_at_a_time(monkeypatch):
+    handed = []
+
+    class Counting:
+        def __init__(self, elements):
+            self.elements = elements
+
+        def __iter__(self):
+            for w in self.elements:
+                handed.append(w)
+                yield w
+
+    def refuse(v, w):
+        raise RuntimeError("first case")
+
+    monkeypatch.setattr(verify, "all_permutations", lambda n: Counting(all_permutations(n)))
+    monkeypatch.setattr(verify, "intersection_maximal_closed_form", refuse)
+    with pytest.raises(RuntimeError, match="first case"):
+        check_cor3_6(4)
+    assert len(handed) == 1
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_membership_is_obstruction_run_avoidance(n):
     assert check_prop3_5(n) == []

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from collections import Counter
 from itertools import permutations
 
@@ -409,7 +410,7 @@ def test_matching_sweeps_report_an_invalid_certificate(monkeypatch):
     v = Permutation((2, 1, 3))
     problem = check_matching(dropping(v, v))
     assert "not covered by any step" in problem
-    assert f"v=2,1,3 w=2,1,3: invalid certificate: {problem}" in verify.check_lem4_3(3)
+    assert f"v=2,1,3 w=2,1,3: certificate invalid: {problem}" in verify.check_lem4_3(3)
     assert f"v=2,1,3: certificate invalid: {problem}" in verify.check_thm5_10(3)
 
 
@@ -425,7 +426,7 @@ def test_matching_sweeps_report_a_certificate_of_another_ideal(monkeypatch):
     assert 0 < wrong < len(pairs)
     for check, message in (
         (verify.check_prop5_8, ": certificate invalid: its ideal is not B(v) /\\ B(w)"),
-        (verify.check_lem4_4, ": certificate ideal is not B(v) /\\ B(w)"),
+        (verify.check_lem4_4, ": certificate invalid: its ideal is not B(v) /\\ B(w)"),
     ):
         swept = check(4)
         assert swept.checked == len(pairs)
@@ -433,3 +434,30 @@ def test_matching_sweeps_report_a_certificate_of_another_ideal(monkeypatch):
         assert all(line.endswith(message) for line in swept)
     # every handed-out matching has its singleton, so none is perfect
     assert verify.check_lem4_3(4).checked == 0
+
+
+def test_matching_sweeps_report_a_homology_mismatch(monkeypatch):
+    """An extra homology class at position 0 fails every matched pair, and
+    each line states the nonzero homology against the expected."""
+    real = verify.homology_ranks
+
+    def extra_class(c):
+        ranks = real(c)
+        ranks[0] += 1
+        return ranks
+
+    monkeypatch.setattr(verify, "homology_ranks", extra_class)
+    line = re.compile(r": nonzero homology \{0: (1|2|1, -\d+: 1)\}, expected \{(-?\d+: 1)?\}$")
+    for check in (verify.check_lem4_3, verify.check_lem4_4, verify.check_thm5_10):
+        swept = check(3)
+        assert 0 < len(swept) == swept.checked
+        assert all(line.search(report) for report in swept), swept
+    booleans = boolean_permutations(3)
+    assert verify.check_thm5_10(3).checked == len(booleans) - 1
+    assert set(verify.check_lem4_3(3)) == {
+        f"v={format_permutation(v)} w={format_permutation(w)}: "
+        "nonzero homology {0: 1}, expected {}"
+        for v in booleans
+        for w in all_permutations(3)
+        if build_matching(v, w).is_perfect
+    }
