@@ -32,17 +32,41 @@ from .rs_afunction import a_function
 
 @dataclass(frozen=True, eq=False)
 class SignAssignment:
-    """Signs +-1 on the covers of S_n satisfying the diamond condition on
-    every length-2 interval, stored by cover index. elements is all of S_n in
-    (length, one-line) order, index maps each one-line tuple to its position
-    in elements, and sign[k] maps the index j of each down-cover of
-    elements[k], in increasing order, to the sign of the cover
-    elements[j] < elements[k]: its keys are the Bruhat covers, held once."""
+    """The Bruhat covers of S_n, and signs +-1 on them satisfying the
+    diamond condition on every length-2 interval, filled in on first read.
+    elements is all of S_n in (length, one-line) order, index maps each
+    one-line tuple to its position in elements, and down[k] is the sorted
+    tuple of the indices of the down-covers of elements[k]: the Bruhat
+    covers, held once. sign[k] maps each j of down[k] to the sign of the
+    cover elements[j] < elements[k], or is None while k is unsigned; the
+    signed elements always form an order ideal, and signed fills it in."""
 
     degree: int
     elements: list[Permutation]
     index: dict[tuple[int, ...], int]
-    sign: list[dict[int, int]]
+    down: list[tuple[int, ...]]
+    sign: list[dict[int, int] | None]
+
+    def signed(self, on) -> list[dict[int, int]]:
+        """sign, with every element below an index of on signed.
+
+        The unsigned elements below on are found by a walk down through the
+        unsigned ones, and signed in index order by _sign_covers, so each
+        reads only signs already set. The pass gives each element the same
+        signs whatever down-closed set it runs over: element k's depend
+        only on the signs of its down-covers, which all lie in B(k).
+        Raises AssertionError, from _sign_covers, when the diamonds below
+        an element force different signs or none; the elements signed
+        before it are kept."""
+        sign, down = self.sign, self.down
+        todo = {k for k in on if sign[k] is None}
+        frontier = todo
+        while frontier:
+            frontier = {j for k in frontier for j in down[k] if sign[j] is None} - todo
+            todo |= frontier
+        for k in sorted(todo):
+            sign[k] = _sign_covers(self, k)
+        return sign
 
     @cached_property
     def masks(self) -> _BooleanMasks:
@@ -85,17 +109,11 @@ def _cover_count(n: int) -> int:
 
 
 def build_sign_assignment(n: int) -> SignAssignment:
-    """Assign +-1 to every cover of S_n, rank by rank; built once per n.
-
-    Each element k is signed in one left-to-right pass over its down-covers
-    in increasing index order: the first gets +1, and each later one gets
-    the sign forced by its diamonds with the earlier ones, whose lower edges
-    are already signed. Every pair of down-edges is tested, so every diamond
-    is checked. Raises AssertionError when two diamonds force different
-    signs, or when a later down-cover shares no diamond with an earlier one
-    (which no element of S_n, n <= 8, has). Raises CapExceededError, before
-    enumerating S_n, when S_n has more than ENUMERATION_CAP elements or
-    covers, so n <= 8 is served.
+    """The sign assignment of S_n, built once per n: S_n, its index and its
+    covers, with every element unsigned. Signs come on first read, through
+    SignAssignment.signed. Raises CapExceededError, before enumerating S_n,
+    when S_n has more than ENUMERATION_CAP elements or covers, so n <= 8 is
+    served.
     """
     covers = _cover_count(n)
     if covers > ENUMERATION_CAP:
@@ -109,47 +127,57 @@ def build_sign_assignment(n: int) -> SignAssignment:
 def _build_sign_assignment(n: int) -> SignAssignment:
     elements = all_permutations(n)
     index = {x.images: k for k, x in enumerate(elements)}
-    sign: list[dict[int, int]] = []
-    for k, x in enumerate(elements):
-        dk = sorted(index[t] for t in _down_images(x.images))
-        value: list[int] = []
-        for j2 in dk:
-            s2 = sign[j2]
-            # the first down-cover gets +1; 0 marks a sign not yet forced
-            forced = 0 if value else 1
-            for j1, v in zip(dk, value):
-                s1 = sign[j1]
-                for i in s1.keys() & s2.keys():
-                    # the four signs of the diamond over i multiply to -1
-                    want = -v * s1[i] * s2[i]
-                    if not forced:
-                        forced = want
-                    elif forced != want:
-                        raise AssertionError(
-                            f"inconsistent diamond system below {elements[k]!r}"
-                        )
-            if not forced:
-                raise AssertionError(
-                    f"down-cover {elements[j2]!r} of {elements[k]!r} shares "
-                    "no diamond with an earlier one"
-                )
-            value.append(forced)
-        sign.append(dict(zip(dk, value)))
-    return SignAssignment(n, elements, index, sign)
+    down = [tuple(sorted(index[t] for t in _down_images(x.images))) for x in elements]
+    return SignAssignment(n, elements, index, down, [None] * len(elements))
+
+
+def _sign_covers(signs: SignAssignment, k: int) -> dict[int, int]:
+    """The signs of the down-covers of element k, whose own down-covers
+    must all be signed: one left-to-right pass over down[k], in which the
+    first gets +1 and each later one the sign forced by its diamonds with
+    the earlier ones, whose lower edges are already signed. Every pair of
+    down-edges is tested, so every diamond is checked. Raises
+    AssertionError when two diamonds force different signs, or when a
+    later down-cover shares no diamond with an earlier one (which no
+    element of S_n, n <= 8, has)."""
+    sign, dk = signs.sign, signs.down[k]
+    value: list[int] = []
+    for j2 in dk:
+        s2 = sign[j2]
+        # the first down-cover gets +1; 0 marks a sign not yet forced
+        forced = 0 if value else 1
+        for j1, v in zip(dk, value):
+            s1 = sign[j1]
+            for i in s1.keys() & s2.keys():
+                # the four signs of the diamond over i multiply to -1
+                want = -v * s1[i] * s2[i]
+                if not forced:
+                    forced = want
+                elif forced != want:
+                    raise AssertionError(
+                        f"inconsistent diamond system below {signs.elements[k]!r}"
+                    )
+        if not forced:
+            raise AssertionError(
+                f"down-cover {signs.elements[j2]!r} of {signs.elements[k]!r} "
+                "shares no diamond with an earlier one"
+            )
+        value.append(forced)
+    return dict(zip(dk, value))
 
 
 def diamond_violations(signs: SignAssignment) -> list[tuple[Permutation, Permutation]]:
     """Length-2 intervals [x, z] whose four edge signs do not multiply to -1,
-    over the covers recorded as the keys of signs.sign: for each z in index
-    order, the diamonds (j1, j2, x) below it with j1 < j2 and x in
+    over the covers signs.down, once every element is signed: for each z in
+    index order, the diamonds (j1, j2, x) below it with j1 < j2 and x in
     increasing index order, whatever the order of the keys of sign."""
-    sign, elements = signs.sign, signs.elements
+    down, elements = signs.down, signs.elements
+    sign = signs.signed(range(len(elements)))
     bad = []
-    for k, covers in enumerate(sign):
-        dk = sorted(covers)
+    for k, dk in enumerate(down):
         for a, j1 in enumerate(dk):
             for j2 in dk[a + 1 :]:
-                for i in sorted(sign[j1].keys() & sign[j2].keys()):
+                for i in sorted(set(down[j1]) & set(down[j2])):
                     if sign[j1][i] * sign[k][j1] * sign[j2][i] * sign[k][j2] != -1:
                         bad.append((elements[i], elements[k]))
     return bad
@@ -161,8 +189,8 @@ def build_complex(
     """Chain complex on the ideal with sorted indices on into signs.elements,
     graded by top_length - l(x); (length, one-line) index order puts each
     basis in one-line order, and each cover (x, y) of the ideal is one entry
-    of the matrix leaving x's position."""
-    elements, sign = signs.elements, signs.sign
+    of the matrix leaving x's position. Signs the ideal below on first."""
+    elements, sign = signs.elements, signs.signed(on)
     basis: list[list[int]] = [[] for _ in range(top_length + 1)]
     for k in on:
         basis[top_length - elements[k].length].append(k)
@@ -191,8 +219,8 @@ def restricted_complex(
     """The signed cover complex on B(w) /\\ B(u), with w at position 0."""
     if not signs.degree == w.n == u.n:
         raise DegreeMismatchError(f"degrees {signs.degree}, {w.n} and {u.n} differ")
-    sign, index = signs.sign, signs.index
-    on = _ideal_indices(sign, index[w.images]) & _ideal_indices(sign, index[u.images])
+    down, index = signs.down, signs.index
+    on = _ideal_indices(down, index[w.images]) & _ideal_indices(down, index[u.images])
     return build_complex(sorted(on), w.length, signs)
 
 
@@ -270,11 +298,11 @@ def _first_nonzero_position(
     on those alone.
 
     Ranks are taken over GF(2) first, on rows whose bits are the covers
-    among the keys of signs.sign. A rank mod 2 is at most the rational
+    of signs.down, so no sign is read. A rank mod 2 is at most the rational
     rank, so a position that is exact over GF(2) is exact over Q. Only at a
     position where GF(2) sees homology is the complex built and the two
     ranks there decided by integer_rank."""
-    elements, sign = signs.elements, signs.sign
+    elements, down = signs.elements, signs.down
     last = min(stop_at, top_length)
     basis: list[list[int]] = [[] for _ in range(last + 1)]
     for k in on:
@@ -290,7 +318,7 @@ def _first_nonzero_position(
             rows = []
             for y in basis[i]:
                 row = 0
-                for x in sign[y]:
+                for x in down[y]:
                     row |= column.get(x, 0)
                 rows.append(row)
             nxt_rank = _gf2_rank(rows)
@@ -312,8 +340,9 @@ def grade(
     on B(w) /\\ B(u), with the first u in (length, one-line) order that
     reaches it as witness.
 
-    Bruhat order is read from the keys of signs.sign alone, and each
-    complex is filled from the sparse signs of its covers.
+    Bruhat order is read from the covers signs.down alone, and each
+    complex that is built is filled from the sparse signs of its covers,
+    signed on first read.
 
     record, if given, maps each u whose complex is built to its first
     nonzero position, when that lies below the bound in force then.
@@ -385,7 +414,7 @@ def _boolean_masks(signs: SignAssignment) -> _BooleanMasks:
     first: dict[int, int] = {}
     right: list[int] = []
     left: list[int] = []
-    for k, below in _ideal_masks(signs.sign, boolean):
+    for k, below in _ideal_masks(signs.down, boolean):
         mask.append(below)
         first.setdefault(below, k)
         # descents as bitmasks, without a frozenset per element of S_n
@@ -429,8 +458,8 @@ def _scan(signs: SignAssignment, top: int):
     if is_boolean(signs.elements[top]):
         ideal, source, mw = masks.boolean, masks.distinct, masks.mask[top]
     else:
-        ideal = sorted(_ideal_indices(signs.sign, top))
-        source, mw = _ideal_masks(signs.sign, ideal), (1 << len(ideal)) - 1
+        ideal = sorted(_ideal_indices(signs.down, top))
+        source, mw = _ideal_masks(signs.down, ideal), (1 << len(ideal)) - 1
     wr, wl = right[top], left[top]
     built: set[int] = set()
     for k, m in source:
@@ -447,13 +476,13 @@ def _scan(signs: SignAssignment, top: int):
         yield k, m, ideal
 
 
-def _ideal_masks(sign: list[dict[int, int]], ideal: list[int]):
+def _ideal_masks(down: list[tuple[int, ...]], ideal: list[int]):
     """(k, mask) for every index k in order, bit b of mask set for each
     ideal[b] below element k: k's own bit, if ideal holds k, ORed with the
     masks of k's down-covers."""
     bit = {k: 1 << b for b, k in enumerate(ideal)}
     mask_at: list[int] = []
-    for k, covers in enumerate(sign):
+    for k, covers in enumerate(down):
         mask = bit.get(k, 0)
         for j in covers:
             mask |= mask_at[j]
@@ -471,13 +500,13 @@ def _members(mask: int, ideal: list[int]) -> list[int]:
     return out
 
 
-def _ideal_indices(sign: list[dict[int, int]], top: int) -> set[int]:
-    """The indices of the elements below index top, walked down through the
-    keys of sign."""
+def _ideal_indices(down: list[tuple[int, ...]], top: int) -> set[int]:
+    """The indices of the elements below index top, walked down through
+    down."""
     seen = {top}
     frontier = [top]
     while frontier:
-        frontier = {j for k in frontier for j in sign[k]} - seen
+        frontier = {j for k in frontier for j in down[k]} - seen
         seen |= frontier
     return seen
 

@@ -63,22 +63,22 @@ def test_hand_built_rank_three_sign_assignment_is_valid():
         sign = [{} for _ in elements]
         for (x, y), value in order:
             sign[index[y.images]][index[x.images]] = value
-        signs = SignAssignment(3, elements, index, sign)
+        signs = SignAssignment(3, elements, index, built.down, sign)
         assert diamond_violations(signs) == []
         assert signs.elements == all_permutations(3)
         assert signs.index == built.index
-        assert [sorted(covers) for covers in sign] == [list(c) for c in built.sign]
+        assert [sorted(covers) for covers in sign] == [list(c) for c in built.down]
         sign[index[w0.images]][index[st.images]] = -1
         assert diamond_violations(signs) == [(t, w0), (s, w0)]
 
 
 def test_sign_assignment_holds_one_object_per_element():
-    # the covers are held once, as the keys of sign
+    # the covers are held once, in down
     fields = tuple(f.name for f in dataclasses.fields(SignAssignment))
-    assert fields == ("degree", "elements", "index", "sign")
+    assert fields == ("degree", "elements", "index", "down", "sign")
     signs = build_sign_assignment(4)
     assert signs.elements == all_permutations(4)
-    assert len(signs.index) == len(signs.elements) == len(signs.sign)
+    assert len(signs.index) == len(signs.elements) == len(signs.down) == len(signs.sign)
     # the index keys are the elements' own one-line tuples, and the signs
     # name elements only by position
     assert all(
@@ -87,7 +87,7 @@ def test_sign_assignment_holds_one_object_per_element():
     )
     assert all(
         type(j) is int and 0 <= j < len(signs.elements)
-        for covers in signs.sign
+        for covers in signs.down
         for j in covers
     )
 
@@ -96,9 +96,9 @@ def test_down_lists_are_the_sorted_cover_indices():
     for n in range(2, 6):
         signs = build_sign_assignment(n)
         index = {x: k for k, x in enumerate(signs.elements)}
-        assert len(signs.sign) == len(signs.elements)
+        assert len(signs.down) == len(signs.elements)
         for k, x in enumerate(signs.elements):
-            assert list(signs.sign[k]) == sorted(index[y] for y in down_covers(x))
+            assert list(signs.down[k]) == sorted(index[y] for y in down_covers(x))
             assert signs.index[x.images] == k
 
 
@@ -106,7 +106,8 @@ def test_single_cover_sign_is_the_root_value():
     # the first down-cover of each element, here the only one, gets +1
     signs = build_sign_assignment(2)
     e, s = Permutation.identity(2), Permutation((2, 1))
-    assert signs.sign[signs.index[s.images]] == {signs.index[e.images]: 1}
+    sign = signs.signed([signs.index[s.images]])
+    assert sign[signs.index[s.images]] == {signs.index[e.images]: 1}
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -161,9 +162,58 @@ def _reference_signs(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_sign_solve_matches_the_reference_solve(n):
     signs = build_sign_assignment(n)
+    sign = signs.signed(range(len(signs.elements)))
     want = _reference_signs(n)
-    assert signs.sign == want
-    assert [list(s) for s in signs.sign] == [list(s) for s in want]
+    assert sign == want
+    assert [list(s) for s in sign] == [list(s) for s in want]
+
+
+def test_signs_of_one_ideal_equal_the_whole_pass():
+    """A fresh assignment over the same covers, signed on B(w) alone, has
+    the fully signed assignment's values there and nothing outside it."""
+    rng = random.Random(7)
+    for n in (4, 5, 6, 7):
+        full = build_sign_assignment(n)
+        size = len(full.elements)
+        want = full.signed(range(size))
+        for top in rng.sample(range(size), 100) if n == 7 else range(size):
+            fresh = SignAssignment(n, full.elements, full.index, full.down, [None] * size)
+            got = fresh.signed([top])
+            below = _ideal_indices(full.down, top)
+            for k, value in enumerate(got):
+                if k in below:
+                    assert list(value.items()) == list(want[k].items()), (n, top, k)
+                else:
+                    assert value is None, (n, top, k)
+
+
+def test_grading_the_booleans_signs_only_boolean_elements():
+    signs = bgg_homology._build_sign_assignment.__wrapped__(7)
+    assert signs.sign == [None] * 5040
+    for w in boolean_permutations(7):
+        grade(w, signs)
+    signed = {k for k, value in enumerate(signs.sign) if value is not None}
+    assert signed and signed <= set(signs.masks.boolean)
+    # the signed elements form an order ideal
+    assert all(j in signed for k in signed for j in signs.down[k])
+
+
+def test_a_broken_diamond_sign_is_reported(monkeypatch):
+    # the top element's last down-cover sign negated: every diamond through
+    # that edge breaks, and nothing above it reads the wrong sign
+    signs = bgg_homology._build_sign_assignment.__wrapped__(4)
+    top = len(signs.elements) - 1
+    real = bgg_homology._sign_covers
+
+    def negate_last(signs, k):
+        value = real(signs, k)
+        if k == top:
+            value[signs.down[k][-1]] *= -1
+        return value
+
+    monkeypatch.setattr(bgg_homology, "_sign_covers", negate_last)
+    bad = diamond_violations(signs)
+    assert bad and {z for _, z in bad} == {signs.elements[top]}
 
 
 def test_inconsistent_diamond_system_raises(monkeypatch):
@@ -177,8 +227,9 @@ def test_inconsistent_diamond_system_raises(monkeypatch):
             yield (1, 2, 4, 3)
 
     monkeypatch.setattr(bgg_homology, "_down_images", extra_cover)
+    signs = bgg_homology._build_sign_assignment.__wrapped__(4)
     with pytest.raises(AssertionError, match="inconsistent diamond system"):
-        bgg_homology._build_sign_assignment.__wrapped__(4)
+        diamond_violations(signs)
 
 
 def test_down_cover_with_no_diamond_to_an_earlier_one_raises(monkeypatch):
@@ -192,8 +243,10 @@ def test_down_cover_with_no_diamond_to_an_earlier_one_raises(monkeypatch):
             yield (2, 3, 1, 4, 5)
 
     monkeypatch.setattr(bgg_homology, "_down_images", extra_cover)
+    signs = bgg_homology._build_sign_assignment.__wrapped__(5)
+    top = signs.index[(1, 2, 5, 4, 3)]
     with pytest.raises(AssertionError, match="shares no diamond") as raised:
-        bgg_homology._build_sign_assignment.__wrapped__(5)
+        build_complex(sorted(_ideal_indices(signs.down, top)), 3, signs)
     assert repr(Permutation((2, 3, 1, 4, 5))) in str(raised.value)
     assert repr(Permutation((1, 2, 5, 4, 3))) in str(raised.value)
 
@@ -201,7 +254,7 @@ def test_down_cover_with_no_diamond_to_an_earlier_one_raises(monkeypatch):
 def test_cover_count_matches_the_built_assignment():
     for n in range(2, 8):
         signs = build_sign_assignment(n)
-        assert _cover_count(n) == sum(map(len, signs.sign)), n
+        assert _cover_count(n) == sum(map(len, signs.down)), n
 
 
 def test_degree_cap(monkeypatch):
@@ -269,7 +322,7 @@ def test_a_position_gf2_cannot_decide_falls_back_to_the_exact_rank(monkeypatch):
     sign = [{} for _ in elements]
     sign[s1], sign[s2] = {e: 1}, {e: 1}
     sign[s1s2], sign[s2s1] = {s1: 1, s2: 1}, {s1: 1, s2: -1}
-    signs = SignAssignment(3, elements, index, sign)
+    signs = SignAssignment(3, elements, index, [tuple(sorted(c)) for c in sign], sign)
     on = sorted((s1, s2, s1s2, s2s1))
     c = build_complex(on, 2, signs)
     # one-line order puts s2 = 132 before s1 = 213
@@ -308,6 +361,7 @@ def test_differential_squares_to_zero_everywhere():
 
 def test_restricted_complex_matches_brute_force():
     signs = build_sign_assignment(4)
+    sign = signs.signed(range(len(signs.elements)))
     elems = all_permutations(4)
     for w in elems:
         for u in elems:
@@ -319,7 +373,7 @@ def test_restricted_complex_matches_brute_force():
             matrices = [()] + [
                 tuple(
                     tuple(
-                        signs.sign[signs.index[y.images]][signs.index[x.images]]
+                        sign[signs.index[y.images]][signs.index[x.images]]
                         if bruhat_leq(x, y)
                         else 0
                         for x in basis[i]
@@ -397,7 +451,7 @@ def test_grade_reads_bruhat_order_only_from_the_sign_assignment(monkeypatch):
     complexes = [restricted_complex(w, u, signs) for w in elements for u in elements]
 
     def forbidden(*args):
-        raise AssertionError("Bruhat order read from outside signs.sign")
+        raise AssertionError("Bruhat order read from outside signs.down")
 
     for name in ("principal_ideal", "bruhat_leq", "intersect_ideals", "down_covers"):
         monkeypatch.setattr(bruhat, name, forbidden)
@@ -443,9 +497,9 @@ def _gauged(signs, rng):
     g = [rng.choice((-1, 1)) for _ in signs.elements]
     sign = [
         {j: g[k] * g[j] * s for j, s in covers.items()}
-        for k, covers in enumerate(signs.sign)
+        for k, covers in enumerate(signs.signed(range(len(signs.elements))))
     ]
-    return SignAssignment(signs.degree, signs.elements, signs.index, sign)
+    return SignAssignment(signs.degree, signs.elements, signs.index, signs.down, sign)
 
 
 def test_grades_do_not_change_under_a_gauge_change():
@@ -580,7 +634,7 @@ def test_sparse_fill_matches_a_dense_fill():
     # rows and no columns
     for n, tops in ((4, all_permutations(4)), (5, boolean_permutations(5))):
         signs = build_sign_assignment(n)
-        ideals = [_ideal_indices(signs.sign, k) for k in range(len(signs.elements))]
+        ideals = [_ideal_indices(signs.down, k) for k in range(len(signs.elements))]
         for w in tops:
             below_w = ideals[signs.index[w.images]]
             for below_u in ideals:
@@ -624,13 +678,13 @@ def _unpruned_boolean_scan(signs, top):
 
 
 def _unpruned_ideal_scan(signs, top):
-    sign, right, left = signs.sign, signs.masks.right, signs.masks.left
-    ideal = sorted(_ideal_indices(sign, top))
+    down, right, left = signs.down, signs.masks.right, signs.masks.left
+    ideal = sorted(_ideal_indices(down, top))
     bit = {k: b for b, k in enumerate(ideal)}
     w_bit, wr, wl = 1 << bit[top], right[top], left[top]
     built = set()
     mask_at = []
-    for k, covers in enumerate(sign):
+    for k, covers in enumerate(down):
         own = bit.get(k)
         mask = 0 if own is None else 1 << own
         for j in covers:
