@@ -18,6 +18,7 @@ from .permcore import (
     DegreeMismatchError,
     Permutation,
     _capped,
+    _support_mask,
     is_boolean,
     support,
 )
@@ -73,10 +74,30 @@ def increasing_pairs(v: Permutation) -> frozenset[int]:
     """The k with {k, k+1} in supp(v) and orientation(v, k) INCREASING.
 
     v must be boolean. Such a v is never interlaced, so every other adjacent
-    support pair is DECREASING, and k precedes k+1 exactly when v(k+1) > k+1.
+    support pair is DECREASING, and k precedes k+1 exactly when v(k+1) > k+1
+    (_increasing_mask).
     """
-    supp = support(v)
-    return frozenset(k for k in supp if k + 1 in supp and v.images[k] > k + 1)
+    inc = _increasing_mask(v.images, _support_mask(v.images))
+    letters = []
+    while inc:
+        low = inc & -inc
+        inc ^= low
+        letters.append(low.bit_length() - 1)
+    return frozenset(letters)
+
+
+def _increasing_mask(images: tuple[int, ...], supp: int) -> int:
+    """increasing_pairs as a mask, bit k for the pair {k, k+1}, of the
+    boolean element with one-line notation images and support mask supp."""
+    inc = 0
+    pairs = supp & supp >> 1
+    while pairs:
+        low = pairs & -pairs
+        pairs ^= low
+        k = low.bit_length() - 1
+        if images[k] > k + 1:
+            inc |= low
+    return inc
 
 
 def _maximal_selfish_interval(size: int) -> list[frozenset[int]]:

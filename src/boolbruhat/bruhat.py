@@ -119,21 +119,22 @@ def down_covers(w: Permutation) -> frozenset[Permutation]:
 
 
 def _leq_below(w: Permutation):
-    """A test images -> (x <= w) for the one-line tuples x of rank at most
-    l(w), where rank is the length of x.
+    """A test images, rank -> (x <= w) for the one-line tuple x of any rank,
+    where rank is the length of x.
 
-    The sorted prefixes of w are built once. At rank l(w) only w itself lies
-    below w; below that, x <= w iff each sorted prefix of x that ends at a
-    right descent of x is dominated entrywise by the sorted prefix of w of
-    the same size (Bjorner-Brenti, Thm 2.6.3), the other prefixes being
-    implied. bruhat_leq is the independent check of this test.
+    The sorted prefixes of w are built once. At rank l(w) and above only w
+    itself can lie below w; below that, x <= w iff each sorted prefix of x
+    that ends at a right descent of x is dominated entrywise by the sorted
+    prefix of w of the same size (Bjorner-Brenti, Thm 2.6.3), the other
+    prefixes being implied. That criterion is an iff at every rank;
+    bruhat_leq is the independent check of this test.
     """
     top = w.images
     n = len(top)
     prefixes = [sorted(top[:k]) for k in range(n)]
 
     def leq(images: tuple[int, ...], rank: int) -> bool:
-        if rank == w.length:
+        if rank >= w.length:
             return images == top
         for k in range(1, n):
             if images[k - 1] > images[k] and not all(
@@ -154,7 +155,7 @@ def _walk(top: Permutation, leq=None) -> BruhatIdeal:
     CapExceededError when B(top) has more than ENUMERATION_CAP elements.
     """
     if is_boolean(top):
-        return _subword_walk(top, leq)
+        return _subword_walk(top, leq)[0]
     return _cover_walk(top, leq)
 
 
@@ -196,17 +197,20 @@ def _cover_walk(top: Permutation, leq=None) -> BruhatIdeal:
     return BruhatIdeal(top.n, frozenset(kept), frozenset(maximal))
 
 
-def _subword_walk(top: Permutation, leq=None) -> BruhatIdeal:
-    """_walk for a boolean top, whose ideal is a boolean lattice.
+def _subword_walk(
+    top: Permutation, leq=None
+) -> tuple[BruhatIdeal, dict[int, Permutation]]:
+    """_walk for a boolean top, whose ideal is a boolean lattice, and the
+    kept elements keyed by their letter masks (bit a for the letter a).
 
     By the subword property B(top) is the set of subwords of one reduced
     word s_1 ... s_k of top; its letters are distinct, so the 2^k subwords
     are distinct reduced words and their covers are the single-letter
-    deletions. Bit b of a mask stands for letter b + 1 of the word
-    (_subword_tuples). Masks are visited in decreasing order, so every
+    deletions. Bit b of a word mask stands for letter b + 1 of the word
+    (_subword_tuples). Word masks are visited in decreasing order, so every
     up-cover (one more bit) comes first and has marked the mask when it was
     kept; the keep rule is _cover_walk's, and a kept mask is maximal when it
-    is unmarked.
+    is unmarked. The letter mask of an element is its support.
     """
     images = list(top.images)
     word = []
@@ -222,13 +226,15 @@ def _subword_walk(top: Permutation, leq=None) -> BruhatIdeal:
     if 1 << k > ENUMERATION_CAP:
         raise _cap_error(top)
     word.reverse()
-    tuples = _subword_tuples(tuple(images), word)
+    tuples, letters = _subword_tuples(tuple(images), word)
     marked = bytearray(1 << k)
-    kept, maximal = [], []
+    kept: dict[int, Permutation] = {}
+    maximal = []
     for m in range((1 << k) - 1, -1, -1):
-        if marked[m] or leq is None or leq(tuples[m], m.bit_count()):
-            x = Permutation._of_valid(tuples[m], m.bit_count())
-            kept.append(x)
+        rank = m.bit_count()
+        if marked[m] or leq is None or leq(tuples[m], rank):
+            x = Permutation._of_valid(tuples[m], rank)
+            kept[letters[m]] = x
             if not marked[m]:
                 maximal.append(x)
             bits = m
@@ -236,20 +242,27 @@ def _subword_walk(top: Permutation, leq=None) -> BruhatIdeal:
                 low = bits & -bits
                 bits ^= low
                 marked[m ^ low] = 1
-    return BruhatIdeal(top.n, frozenset(kept), frozenset(maximal))
+    ideal = BruhatIdeal(top.n, frozenset(kept.values()), frozenset(maximal))
+    return ideal, kept
 
 
-def _subword_tuples(identity: tuple[int, ...], word: list[int]) -> list[tuple[int, ...]]:
-    """The one-line tuples of the subwords of word, indexed by mask (bit b
-    for letter b + 1 of word). The tuple of a mask with highest bit b is
-    that of the mask without it with the positions of letter b + 1 swapped."""
+def _subword_tuples(
+    identity: tuple[int, ...], word: list[int]
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The one-line tuples and the letter masks of the subwords of word,
+    both indexed by word mask (bit b for letter b + 1 of word). The tuple
+    of a word mask with highest bit b is that of the mask without it with
+    the positions of letter b + 1 swapped, and its letter mask that of the
+    mask without it with that letter's bit set."""
     tuples = [identity]
+    letters = [0]
     for i in word:
         for t in tuples[:]:
             out = list(t)
             out[i - 1], out[i] = t[i], t[i - 1]
             tuples.append(tuple(out))
-    return tuples
+        letters += [m | 1 << i for m in letters]
+    return tuples, letters
 
 
 def _cap_error(top: Permutation) -> CapExceededError:

@@ -153,11 +153,27 @@ class ReducedWord:
         return len(self.letters)
 
 
+def _support_mask(images: tuple[int, ...]) -> int:
+    """The support of the permutation with one-line notation images as a
+    mask, bit k for the letter k: k is in it iff max(x(1), ..., x(k)) > k.
+    support reads the same rule into a frozenset by its own loop."""
+    mask = 0
+    top = 0
+    for k, v in enumerate(images[:-1], 1):
+        if v > top:
+            top = v
+        if top > k:
+            mask |= 1 << k
+    return mask
+
+
 def support(w: Permutation) -> frozenset[int]:
     """Generator indices appearing in reduced words of w.
 
     Computed from one-line notation: k is in the support iff the prefix
-    {w(1), ..., w(k)} differs from {1, ..., k}.
+    {w(1), ..., w(k)} differs from {1, ..., k}. This is _support_mask's rule,
+    kept as a loop of its own because building the set from the mask made
+    the whole-S_9 boolean scan slower.
     """
     members = []
     seen_max = 0
@@ -250,7 +266,7 @@ def is_boolean(w: Permutation) -> bool:
 
     Primary check: length equals support size.
     """
-    return w.length == len(support(w))
+    return w.length == _support_mask(w.images).bit_count()
 
 
 def is_boolean_by_patterns(w: Permutation) -> bool:

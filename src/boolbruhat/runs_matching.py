@@ -4,22 +4,27 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 
 from .bruhat import (
     BruhatIdeal,
     RunWord,
     _dot,
     _down_images,
-    intersect_ideals,
+    _leq_below,
+    _subword_walk,
 )
 from .permcore import (
+    DegreeMismatchError,
     Permutation,
     ReducedWord,
+    _support_mask,
     format_permutation,
     is_boolean,
     support,
 )
-from .boolean_intersect import increasing_pairs, interval_components
+from .boolean_intersect import _increasing_mask, increasing_pairs, interval_components
 
 
 @dataclass(frozen=True)
@@ -50,7 +55,8 @@ Step = Pair | Singleton
 
 @dataclass(frozen=True)
 class MatchingCertificate:
-    """Ordered steps whose prefixes are coideals of the matched ideal."""
+    """Ordered steps whose prefixes are coideals of the matched ideal, an
+    ideal of boolean elements (B(v) /\\ B(w) for boolean v)."""
 
     steps: tuple[Step, ...]
     over: BruhatIdeal
@@ -157,67 +163,91 @@ def optimal_rank(v: Permutation) -> int:
     return v.length - run_decompose(v).count
 
 
-def _match_family(family: dict[frozenset[int], Permutation]) -> list[Step]:
-    """Match a nonempty inclusion-downward-closed family of letter sets,
-    given as a dict from each set to its element.
+def _match_family(family: dict[int, Permutation]) -> list[Step]:
+    """Match a nonempty inclusion-downward-closed family of letter masks
+    (bit a for the letter a), given as a dict from each mask to its element.
 
     Returns steps over the elements, top of the filtration first:
     recursively matched unpairable coideal, then the sigma_m pairs by
-    descending rank. The family {frozenset()} is the one-element dict.
+    descending rank and, within a rank, by sorted letters. The family {0}
+    is the one-element dict.
     """
     if len(family) == 1:
         return [Singleton(*family.values())]
-    m = max(frozenset().union(*family))
+    m = 1 << (max(family).bit_length() - 1)
     ups = []
     unmatched = {}
     for t, x in family.items():
-        if m in t:
+        if t & m:
             continue
-        up = t | {m}
+        up = t | m
         if up in family:
             ups.append(up)
         else:
             unmatched[t] = x
-    ups.sort(key=lambda up: (-len(up), sorted(up)))
-    pairs = [Pair(family[up - {m}], family[up]) for up in ups]
+    # every up has the top bit m, so their binary strings have one length,
+    # and read from bit 0 up they compare in the reverse of the order of
+    # their sorted letters
+    ups.sort(key=lambda up: (up.bit_count(), bin(up)[:1:-1]), reverse=True)
+    pairs = [Pair(family[up ^ m], family[up]) for up in ups]
     if not unmatched:
         return pairs
-    core = frozenset.intersection(*unmatched)
-    return _match_family({t - core: x for t, x in unmatched.items()}) + pairs
+    core = reduce(and_, unmatched)
+    return _match_family({t ^ core: x for t, x in unmatched.items()}) + pairs
 
 
 def build_matching(v: Permutation, w: Permutation) -> MatchingCertificate:
     """A perfect or almost perfect matching of B(v) /\\ B(w).
 
-    Matches on the largest common support letter and recurses on the coideal
-    of unpairable elements; v boolean means elements are determined by their
-    supports, so the recursion runs on letter sets.
+    One subword walk of B(v) keeps the elements below w and keys each by its
+    letter mask; v boolean means elements are determined by their supports,
+    so the matching runs on those masks. It matches on the largest common
+    support letter and recurses on the coideal of unpairable elements.
+    Raises CapExceededError when B(v) has more than ENUMERATION_CAP
+    elements, whatever w is.
     """
     if not is_boolean(v):
         raise ValueError("build_matching requires boolean v")
-    ideal = intersect_ideals(v, w)
-    steps = _match_family({support(x): x for x in ideal.elements})
-    return MatchingCertificate(tuple(steps), ideal)
+    if v.n != w.n:
+        raise DegreeMismatchError(f"degrees {v.n} and {w.n} differ")
+    ideal, by_letters = _subword_walk(v, _leq_below(w))
+    return MatchingCertificate(tuple(_match_family(by_letters)), ideal)
+
+
+def _boolean_key(images: tuple[int, ...], supp: int) -> int:
+    """The key of the boolean element of S_n with one-line notation images
+    and support mask supp: supp, with bit n + k set for each pair {k, k+1}
+    of support letters in which k precedes k+1 (_increasing_mask). A boolean
+    element is fixed by its support and the order of each such pair, so
+    distinct boolean elements of S_n have distinct keys."""
+    return supp | _increasing_mask(images, supp) << len(images)
 
 
 def check_matching(cert: MatchingCertificate) -> str | None:
     """First violated certificate condition, or None when valid.
 
     Trusts nothing from the constructor. Violations are reported in this
-    order: a step element outside the ideal, repeated or in no step; more
-    than one singleton; then, walking the steps in order, whichever the walk
-    meets first of a down-cover outside the ideal and a pair that is not a
-    cover; last, the earliest prefix of steps that is not a coideal.
-    The walk lists the down-covers of each element afresh from its one-line
-    notation, not from cert.over.covers. A pair is a cover exactly when the
-    down-covers of its upper include an element of the same step, which can
-    only be its lower. Inside an order ideal x <= y is a chain of
-    covers, so every prefix is a coideal exactly when no down-cover is added
-    at an earlier step than the element it lies under.
+    order: a step element outside the ideal, repeated or in no step; an
+    element that is not boolean; more than one singleton; then, walking the
+    steps in order, whichever the walk meets first of a down-cover outside
+    the ideal and a pair that is not a cover; last, the earliest prefix of
+    steps that is not a coideal.
+    Each element is read once from its one-line notation into a key, its
+    support and letter order (_boolean_key), not from cert.over or any walk.
+    The down-covers of a boolean element are its one-letter deletions: for
+    the letter a, the key loses bit a and the pair bits of {a-1, a} and
+    {a, a+1}. A pair is a cover exactly when the down-covers of its upper
+    include an element of the same step, which can only be its lower.
+    Inside an order ideal x <= y is a chain of covers, so every prefix is a
+    coideal exactly when no down-cover is added at an earlier step than the
+    element it lies under. One-line notation of a cover is built only for a
+    failure line.
     """
     elements = cert.over.elements
     seen: set[Permutation] = set()
-    step_of: dict[tuple[int, ...], int] = {}
+    step_of: dict[int, int] = {}
+    keyed = []
+    odd = None
     for k, step in enumerate(cert.steps):
         for x in _members(step):
             if x not in elements:
@@ -225,40 +255,55 @@ def check_matching(cert: MatchingCertificate) -> str | None:
             if x in seen:
                 return f"element {format_permutation(x)} appears twice"
             seen.add(x)
-            step_of[x.images] = k
+            supp = _support_mask(x.images)
+            if supp.bit_count() != x.length and odd is None:
+                odd = x
+            key = _boolean_key(x.images, supp)
+            step_of[key] = k
+            keyed.append((k, step, x, key))
     if seen != elements:
         missing = next(iter(elements - seen))
         return f"element {format_permutation(missing)} not covered by any step"
+    if odd is not None:
+        return f"element {format_permutation(odd)} is not boolean"
 
     if len(cert.singletons()) > 1:
         return "more than one singleton"
 
     first = None
-    for k, step in enumerate(cert.steps):
-        for y in _members(step):
-            paired = False
-            for t in _down_images(y.images):
-                j = step_of.get(t)
-                if j is None:
-                    return (
-                        f"element {format_permutation(Permutation(t))} covered "
-                        f"by {format_permutation(y)} is outside the ideal"
-                    )
-                if j <= k:
-                    if j == k:
-                        paired = True
-                    elif first is None or j < first[0]:
-                        first = (j, t, y)
-            if not paired and isinstance(step, Pair) and y is step.upper:
+    for k, step, y, key in keyed:
+        paired = False
+        n = len(y.images)
+        letters = key & ~(-1 << n)
+        while letters:
+            low = letters & -letters
+            letters ^= low
+            cover = key & ~(low | 3 * low << (n - 1))
+            j = step_of.get(cover)
+            if j is None:
+                t = next(t for t in _down_images(y.images)
+                         if _boolean_key(t, _support_mask(t)) not in step_of)
                 return (
-                    f"pair ({format_permutation(step.lower)}, "
-                    f"{format_permutation(step.upper)}) is not a cover"
+                    f"element {format_permutation(Permutation(t))} covered "
+                    f"by {format_permutation(y)} is outside the ideal"
                 )
+            if j <= k:
+                if j == k:
+                    paired = True
+                elif first is None or j < first[0]:
+                    first = (j, cover, y)
+        if not paired and isinstance(step, Pair) and y is step.upper:
+            return (
+                f"pair ({format_permutation(step.lower)}, "
+                f"{format_permutation(step.upper)}) is not a cover"
+            )
     if first is not None:
-        j, t, y = first
+        j, cover, y = first
+        (x,) = [x for x in _members(cert.steps[j])
+                if _boolean_key(x.images, _support_mask(x.images)) == cover]
         return (
             f"prefix through {type(cert.steps[j]).__name__} is not a coideal: "
-            f"{format_permutation(Permutation(t))} <= {format_permutation(y)}"
+            f"{format_permutation(x)} <= {format_permutation(y)}"
         )
     return None
 

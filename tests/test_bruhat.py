@@ -24,6 +24,7 @@ from boolbruhat.permcore import (
     enumerate_reduced_words,
     is_boolean,
 )
+from boolbruhat.runs_matching import build_matching
 
 
 def subword_leq(u, w):
@@ -169,12 +170,12 @@ def test_intersection_compares_only_elements_without_a_kept_up_cover(monkeypatch
 
 
 def test_comparator_matches_bruhat_leq_on_s5():
+    # at every rank: the matching asks about ranks above l(w) too
     elems = all_permutations(5)
     for w in elems:
         leq = bruhat._leq_below(w)
         for x in elems:
-            if x.length <= w.length:
-                assert leq(x.images, x.length) == bruhat_leq(x, w), (x, w)
+            assert leq(x.images, x.length) == bruhat_leq(x, w), (x, w)
 
 
 def test_intersections_with_boolean_elements_match_brute_force_on_s8():
@@ -221,7 +222,7 @@ def test_the_pairs_path_lists_no_covers():
     # the cor3.6 maxima and a checked matching read an ideal's elements and
     # maxima only; the covers are listed only when something reads them
     from boolbruhat.boolean_intersect import intersection_maximal_closed_form
-    from boolbruhat.runs_matching import build_matching, check_matching
+    from boolbruhat.runs_matching import check_matching
 
     rng = random.Random(36)
     booleans = boolean_permutations(6)
@@ -314,6 +315,9 @@ def test_boolean_top_over_the_cap_fails_before_building_images(monkeypatch):
             principal_ideal(top)
         with pytest.raises(CapExceededError):
             intersect_ideals(top, Permutation(tuple(range(top.n, 0, -1))))
+        # the matching walks B(v) whatever w is
+        with pytest.raises(CapExceededError):
+            build_matching(top, Permutation.identity(top.n))
 
 
 def test_walk_does_not_read_the_closed_form(monkeypatch):

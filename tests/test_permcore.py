@@ -77,6 +77,7 @@ def test_inverse_and_length(w):
 @given(perms)
 def test_support_matches_canonical_word_letters(w):
     assert support(w) == frozenset(canonical_reduced_word(w).letters)
+    assert permcore._support_mask(w.images) == sum(1 << k for k in support(w))
 
 
 def test_reduced_word_validation():

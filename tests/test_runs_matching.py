@@ -6,14 +6,17 @@ from itertools import permutations
 
 import pytest
 
-from boolbruhat import verify
+import boolbruhat
+from boolbruhat import bruhat, permcore, runs_matching, verify
 from boolbruhat.boolean_intersect import increasing_pairs, interval_components
 from boolbruhat.bruhat import (
     BruhatIdeal,
     RunWord,
+    _down_images,
     bruhat_leq,
     ideal_to_dot,
     intersect_ideals,
+    principal_ideal,
 )
 from boolbruhat.permcore import (
     Permutation,
@@ -318,6 +321,194 @@ def test_checker_rejects_an_ideal_that_is_not_down_closed():
     holed = MatchingCertificate(steps, cut)
     assert prefixes_are_coideals(holed)
     assert "outside the ideal" in check_matching(holed)
+
+
+def down_cover_check(cert):
+    """Oracle: check_matching as it was on general ideals of S_n, listing
+    the down-covers of every element afresh from its one-line notation."""
+    elements = cert.over.elements
+    seen = set()
+    step_of = {}
+    for k, step in enumerate(cert.steps):
+        for x in _step_members(step):
+            if x not in elements:
+                return f"step element {format_permutation(x)} outside the ideal"
+            if x in seen:
+                return f"element {format_permutation(x)} appears twice"
+            seen.add(x)
+            step_of[x.images] = k
+    if seen != elements:
+        missing = next(iter(elements - seen))
+        return f"element {format_permutation(missing)} not covered by any step"
+
+    if len(cert.singletons()) > 1:
+        return "more than one singleton"
+
+    first = None
+    for k, step in enumerate(cert.steps):
+        for y in _step_members(step):
+            paired = False
+            for t in _down_images(y.images):
+                j = step_of.get(t)
+                if j is None:
+                    return (
+                        f"element {format_permutation(Permutation(t))} covered "
+                        f"by {format_permutation(y)} is outside the ideal"
+                    )
+                if j <= k:
+                    if j == k:
+                        paired = True
+                    elif first is None or j < first[0]:
+                        first = (j, t, y)
+            if not paired and isinstance(step, Pair) and y is step.upper:
+                return (
+                    f"pair ({format_permutation(step.lower)}, "
+                    f"{format_permutation(step.upper)}) is not a cover"
+                )
+    if first is not None:
+        j, t, y = first
+        return (
+            f"prefix through {type(cert.steps[j]).__name__} is not a coideal: "
+            f"{format_permutation(Permutation(t))} <= {format_permutation(y)}"
+        )
+    return None
+
+
+def _step_members(step):
+    return (step.element,) if isinstance(step, Singleton) else (step.lower, step.upper)
+
+
+def _message_kind(problem):
+    if problem is None:
+        return None
+    return re.sub(r"\d+(,\d+)*", "x", problem)
+
+
+def corrupted(cert, rng):
+    """The certificate and copies of it with shuffled, dropped, duplicated
+    and swapped steps, with the uppers of two pairs exchanged, and with one
+    element cut out of both the ideal and its step (which leaves an ideal
+    that need not be down-closed), as it is and shuffled."""
+    steps = list(cert.steps)
+    out = [cert, MatchingCertificate(tuple(rng.sample(steps, len(steps))), cert.over)]
+    k = rng.randrange(len(steps))
+    out.append(MatchingCertificate(tuple(steps[:k] + steps[k + 1:]), cert.over))
+    out.append(MatchingCertificate(tuple(steps + [steps[k]]), cert.over))
+    if len(steps) > 1:
+        swapped = list(steps)
+        i = rng.randrange(len(steps) - 1)
+        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+        out.append(MatchingCertificate(tuple(swapped), cert.over))
+    pairs = [i for i, s in enumerate(steps) if isinstance(s, Pair)]
+    if len(pairs) > 1:
+        i, j = rng.sample(pairs, 2)
+        crossed = list(steps)
+        crossed[i] = Pair(steps[i].lower, steps[j].upper)
+        crossed[j] = Pair(steps[j].lower, steps[i].upper)
+        out.append(MatchingCertificate(tuple(crossed), cert.over))
+    if pairs:
+        i = rng.choice(pairs)
+        cut, kept = rng.sample((steps[i].lower, steps[i].upper), 2)
+        holed = steps[:i] + [Singleton(kept)] + steps[i + 1:]
+        over = BruhatIdeal(cert.over.degree, cert.over.elements - {cut}, cert.over.maximal)
+        out.append(MatchingCertificate(tuple(holed), over))
+        out.append(MatchingCertificate(tuple(rng.sample(holed, len(holed))), over))
+    return out
+
+
+def test_check_matches_the_down_cover_oracle():
+    rng = random.Random(34)
+    cases = [(v, w) for v in boolean_permutations(5) for w in all_permutations(5)]
+    every6 = all_permutations(6)
+    cases += [(v, rng.choice(every6)) for v in boolean_permutations(6) for _ in range(3)]
+    kinds = Counter()
+    for v, w in cases:
+        for cert in corrupted(build_matching(v, w), rng):
+            got, want = check_matching(cert), down_cover_check(cert)
+            assert got == want, (v, w, cert.steps)
+            kinds[_message_kind(got)] += 1
+    assert {
+        None,
+        "element x not covered by any step",
+        "element x appears twice",
+        "more than one singleton",
+        "element x covered by x is outside the ideal",
+        "pair (x, x) is not a cover",
+        "prefix through Pair is not a coideal: x <= x",
+        "prefix through Singleton is not a coideal: x <= x",
+    } <= set(kinds), kinds
+
+
+def test_check_tells_letter_orders_apart():
+    # the ideal of s1s2s3 with s3s2 in place of s2s3: same supports, but
+    # s1s2s3 covers s2s3, not s3s2, so the ideal is not down-closed
+    v = Permutation.from_word((1, 2, 3), 4)
+    honest, impostor = Permutation.from_word((2, 3), 4), Permutation.from_word((3, 2), 4)
+
+    def swap(x):
+        return impostor if x == honest else x
+
+    cert = build_matching(v, v)
+    assert check_matching(cert) is None
+    steps = tuple(
+        Singleton(swap(s.element)) if isinstance(s, Singleton) else Pair(swap(s.lower), swap(s.upper))
+        for s in cert.steps
+    )
+    over = BruhatIdeal(4, frozenset(map(swap, cert.over.elements)), frozenset(map(swap, cert.over.maximal)))
+    forged = MatchingCertificate(steps, over)
+    assert support(impostor) == support(honest)
+    problem = check_matching(forged)
+    assert problem == down_cover_check(forged)
+    assert problem == "element 1,3,4,2 covered by 2,3,4,1 is outside the ideal"
+
+
+def test_check_rejects_a_non_boolean_element():
+    w0 = Permutation((3, 2, 1))
+    ideal = principal_ideal(w0)
+    s1, s2 = Permutation.from_word((1,), 3), Permutation.from_word((2,), 3)
+    cert = MatchingCertificate(
+        (
+            Pair(Permutation.from_word((1, 2), 3), w0),
+            Pair(s1, Permutation.from_word((2, 1), 3)),
+            Pair(Permutation.identity(3), s2),
+        ),
+        ideal,
+    )
+    assert down_cover_check(cert) is None
+    assert check_matching(cert) == "element 3,2,1 is not boolean"
+    foreign = MatchingCertificate(cert.steps + (Singleton(Permutation((2, 3, 1, 4))),), ideal)
+    assert "outside the ideal" in check_matching(foreign)
+
+
+def test_the_pair_path_reads_no_down_covers_and_no_support_sets(monkeypatch):
+    def unread(*args):
+        raise AssertionError("read on the pair path")
+
+    # every module that binds either name, so no import path escapes
+    reals = {"_down_images": bruhat._down_images, "support": permcore.support}
+    modules = [getattr(boolbruhat, name) for name in dir(boolbruhat)]
+    for module in (m for m in modules if type(m) is type(permcore)):
+        for name, real in reals.items():
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, unread)
+    assert runs_matching.support is runs_matching._down_images is bruhat._down_images is unread
+    rng = random.Random(6)
+    booleans = boolean_permutations(6)
+    elems = all_permutations(6)
+    for _ in range(80):
+        v, w = rng.choice(booleans), rng.choice(elems)
+        assert check_matching(build_matching(v, w)) is None, (v, w)
+
+
+def test_the_matched_ideal_is_the_intersection_on_s5():
+    shorter_w = 0
+    for v in boolean_permutations(5):
+        for w in all_permutations(5):
+            over = build_matching(v, w).over
+            want = intersect_ideals(v, w)
+            assert (over.elements, over.maximal) == (want.elements, want.maximal), (v, w)
+            shorter_w += w.length < v.length
+    assert shorter_w > 100
 
 
 def test_certificate_exports():
