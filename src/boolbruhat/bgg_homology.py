@@ -21,13 +21,13 @@ from .permcore import (
     DegreeMismatchError,
     Permutation,
     _capped_factorial,
+    _descent_masks,
+    _support_mask,
     all_permutations,
     boolean_permutations,
     format_permutation,
     is_boolean,
-    support,
 )
-from .boolean_intersect import interval_components
 from .rs_afunction import a_function
 
 @dataclass(frozen=True, eq=False)
@@ -394,8 +394,8 @@ class _BooleanMasks:
     stands for the b-th boolean element, boolean[b] is its index, and
     mask[k] has the bits of the boolean elements below k. distinct holds
     (first index k, mask[k]) for each distinct mask, in index order.
-    right[k] and left[k] have bit i set for each right (left) descent
-    s_{i+1} of element k."""
+    right[k] and left[k] are the right and left descent masks of element
+    k, bit i for s_i (_descent_masks)."""
 
     boolean: list[int]
     mask: list[int]
@@ -408,8 +408,7 @@ def _boolean_masks(signs: SignAssignment) -> _BooleanMasks:
     """The masks of SignAssignment.masks: the boolean elements come from
     boolean_permutations, their masks from _ideal_masks, the pass that
     serves any other w."""
-    n = signs.degree
-    boolean = sorted(signs.index[v.images] for v in boolean_permutations(n))
+    boolean = sorted(signs.index[v.images] for v in boolean_permutations(signs.degree))
     mask: list[int] = []
     first: dict[int, int] = {}
     right: list[int] = []
@@ -417,17 +416,7 @@ def _boolean_masks(signs: SignAssignment) -> _BooleanMasks:
     for k, below in _ideal_masks(signs.down, boolean):
         mask.append(below)
         first.setdefault(below, k)
-        # descents as bitmasks, without a frozenset per element of S_n
-        img = signs.elements[k].images
-        position = [0] * n
-        for p, v in enumerate(img):
-            position[v - 1] = p
-        r = l = 0
-        for i in range(n - 1):
-            if img[i] > img[i + 1]:
-                r |= 1 << i
-            if position[i + 1] < position[i]:
-                l |= 1 << i
+        r, l = _descent_masks(signs.elements[k].images)
         right.append(r)
         left.append(l)
     distinct = [(k, m) for m, k in first.items()]
@@ -513,13 +502,9 @@ def _ideal_indices(down: list[tuple[int, ...]], top: int) -> set[int]:
 
 def is_longest_parabolic_element(w: Permutation) -> bool:
     """Whether w is the longest element of the standard parabolic subgroup
-    generated by its own support: blockwise order reversal on the interval
-    components of supp(w)."""
-    images = list(range(1, w.n + 1))
-    for comp in interval_components(support(w)):
-        lo, hi = comp[0], comp[-1] + 1
-        images[lo - 1 : hi] = range(hi, lo - 1, -1)
-    return w.images == tuple(images)
+    generated by its own support, in which w lies: the one element of that
+    subgroup with every support letter a right descent."""
+    return _descent_masks(w.images)[0] == _support_mask(w.images)
 
 
 def is_perfect(w: Permutation, signs: SignAssignment) -> bool:

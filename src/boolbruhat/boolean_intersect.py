@@ -18,6 +18,8 @@ from .permcore import (
     DegreeMismatchError,
     Permutation,
     _capped,
+    _increasing_mask,
+    _letters,
     _support_mask,
     is_boolean,
     support,
@@ -74,30 +76,9 @@ def increasing_pairs(v: Permutation) -> frozenset[int]:
     """The k with {k, k+1} in supp(v) and orientation(v, k) INCREASING.
 
     v must be boolean. Such a v is never interlaced, so every other adjacent
-    support pair is DECREASING, and k precedes k+1 exactly when v(k+1) > k+1
-    (_increasing_mask).
+    support pair is DECREASING (_increasing_mask).
     """
-    inc = _increasing_mask(v.images, _support_mask(v.images))
-    letters = []
-    while inc:
-        low = inc & -inc
-        inc ^= low
-        letters.append(low.bit_length() - 1)
-    return frozenset(letters)
-
-
-def _increasing_mask(images: tuple[int, ...], supp: int) -> int:
-    """increasing_pairs as a mask, bit k for the pair {k, k+1}, of the
-    boolean element with one-line notation images and support mask supp."""
-    inc = 0
-    pairs = supp & supp >> 1
-    while pairs:
-        low = pairs & -pairs
-        pairs ^= low
-        k = low.bit_length() - 1
-        if images[k] > k + 1:
-            inc |= low
-    return inc
+    return _letters(_increasing_mask(v.images, _support_mask(v.images)))
 
 
 def _maximal_selfish_interval(size: int) -> list[frozenset[int]]:
@@ -179,14 +160,16 @@ def _run_candidates(v: Permutation) -> list[RunWord]:
     [i..i+j] is an increasing run when the pairs i..i+j-1 are all
     increasing, and a decreasing run when none of them is.
     """
-    supp = support(v)
-    increasing = increasing_pairs(v)
+    supp = _support_mask(v.images)
+    increasing = _increasing_mask(v.images, supp)
     out = []
-    for i in sorted(supp):
+    for i in range(1, supp.bit_length()):
+        if not supp >> i & 1:
+            continue
         out.append(RunWord(i, 0, "increasing"))
-        for direction, rising in (("increasing", True), ("decreasing", False)):
+        for direction, rising in (("increasing", 1), ("decreasing", 0)):
             j = 1
-            while i + j in supp and (i + j - 1 in increasing) == rising:
+            while supp >> (i + j) & 1 and increasing >> (i + j - 1) & 1 == rising:
                 out.append(RunWord(i, j, direction))
                 j += 1
     return out

@@ -3,6 +3,10 @@
 One-line notation is the canonical representation throughout; reduced words
 are derived views.  Words evaluate right-to-left: the word (i1, ..., il)
 denotes the composite map sigma_{i1} o ... o sigma_{il}.
+
+Letter facts are read from one-line tuples here alone, by _support_mask,
+_descent_masks and _increasing_mask, into masks with bit k for the letter s_k
+(or the pair {k, k+1}); support and descents are frozenset views of them.
 """
 from __future__ import annotations
 
@@ -139,24 +143,26 @@ class ReducedWord:
 
     letters: tuple[int, ...]
     degree: int
+    _permutation: Permutation = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "letters", tuple(self.letters))
         w = Permutation.from_word(self.letters, self.degree)
         if w.length != len(self.letters):
             raise NotReducedError(f"word {self.letters} is not reduced in S_{self.degree}")
+        object.__setattr__(self, "_permutation", w)
 
     def permutation(self) -> Permutation:
-        return Permutation.from_word(self.letters, self.degree)
+        return self._permutation
 
     def __len__(self):
         return len(self.letters)
 
 
 def _support_mask(images: tuple[int, ...]) -> int:
-    """The support of the permutation with one-line notation images as a
-    mask, bit k for the letter k: k is in it iff max(x(1), ..., x(k)) > k.
-    support reads the same rule into a frozenset by its own loop."""
+    """The support of the permutation with one-line notation images: letter
+    k is in it iff the prefix {x(1), ..., x(k)} differs from {1, ..., k},
+    that is iff max(x(1), ..., x(k)) > k."""
     mask = 0
     top = 0
     for k, v in enumerate(images[:-1], 1):
@@ -167,57 +173,78 @@ def _support_mask(images: tuple[int, ...]) -> int:
     return mask
 
 
-def support(w: Permutation) -> frozenset[int]:
-    """Generator indices appearing in reduced words of w.
+def _descent_masks(images: tuple[int, ...]) -> tuple[int, int]:
+    """(right, left) descents of the permutation x with one-line notation
+    images: k is a right descent iff x(k) > x(k+1), and a left descent, a
+    right descent of x^-1, iff k+1 stands before k."""
+    right = left = seen = prev = 0
+    for k, v in enumerate(images):
+        if v < prev:
+            right |= 1 << k
+        left |= seen >> 1 & 1 << v
+        seen |= 1 << v
+        prev = v
+    return right, left
 
-    Computed from one-line notation: k is in the support iff the prefix
-    {w(1), ..., w(k)} differs from {1, ..., k}. This is _support_mask's rule,
-    kept as a loop of its own because building the set from the mask made
-    the whole-S_9 boolean scan slower.
-    """
-    members = []
-    seen_max = 0
-    for k, v in enumerate(w.images[:-1], 1):
-        if v > seen_max:
-            seen_max = v
-        if seen_max != k:
-            members.append(k)
-    return frozenset(members)
+
+def _increasing_mask(images: tuple[int, ...], supp: int) -> int:
+    """Bit k for each pair {k, k+1} of support letters with k before k+1 in
+    the boolean element with one-line notation images and support mask
+    supp; being never interlaced, it has k before k+1 iff x(k+1) > k+1."""
+    inc = 0
+    pairs = supp & supp >> 1
+    while pairs:
+        low = pairs & -pairs
+        pairs ^= low
+        k = low.bit_length() - 1
+        if images[k] > k + 1:
+            inc |= low
+    return inc
+
+
+def _letters(mask: int) -> frozenset[int]:
+    """The k with bit k set in mask."""
+    letters = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        letters.append(low.bit_length() - 1)
+    return frozenset(letters)
+
+
+def support(w: Permutation) -> frozenset[int]:
+    """Generator indices appearing in reduced words of w (_support_mask)."""
+    return _letters(_support_mask(w.images))
 
 
 def descents(w: Permutation, side: Literal["left", "right"] = "right") -> frozenset[int]:
     """Right descents {i : w(i) > w(i+1)}; left descents are those of w^-1,
-    the values i with i+1 standing before i in w's one-line notation."""
-    images = w.images
-    if side == "left":
-        position = [0] * len(images)
-        for p, v in enumerate(images):
-            position[v - 1] = p
-        return frozenset(
-            i for i in range(1, len(images)) if position[i] < position[i - 1]
-        )
-    if side != "right":
+    the values i with i+1 standing before i in w's one-line notation
+    (_descent_masks)."""
+    if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return frozenset(i for i in range(1, len(images)) if images[i - 1] > images[i])
+    right, left = _descent_masks(w.images)
+    return _letters(right if side == "right" else left)
 
 
 def _word_iter(w: Permutation) -> Iterator[tuple[int, ...]]:
     """The reduced words of w in lexicographic order, depth first. The stack
-    holds, at depth d, w with letters[:d] stripped and its left descents not
-    yet tried; it is not the call stack, so no length meets the recursion
-    limit."""
+    holds, at depth d, w with letters[:d] stripped and the mask of its left
+    descents not yet tried; it is not the call stack, so no length meets the
+    recursion limit."""
     letters: list[int] = []
-    stack = [(w, sorted(descents(w, "left"), reverse=True))]
+    stack = [(w, _descent_masks(w.images)[1])]
     while stack:
-        u, todo = stack[-1]
+        u, todo = stack.pop()
         if todo:
-            letters.append(todo.pop())
+            low = todo & -todo
+            stack.append((u, todo ^ low))
+            letters.append(low.bit_length() - 1)
             x = u.left_simple(letters[-1])
-            stack.append((x, sorted(descents(x, "left"), reverse=True)))
+            stack.append((x, _descent_masks(x.images)[1]))
             continue
         if u.is_identity():
             yield tuple(letters)
-        stack.pop()
         del letters[-1:]
 
 

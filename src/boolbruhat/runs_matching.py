@@ -19,12 +19,11 @@ from .permcore import (
     DegreeMismatchError,
     Permutation,
     ReducedWord,
+    _increasing_mask,
     _support_mask,
     format_permutation,
     is_boolean,
-    support,
 )
-from .boolean_intersect import _increasing_mask, increasing_pairs, interval_components
 
 
 @dataclass(frozen=True)
@@ -69,23 +68,25 @@ class MatchingCertificate:
         return not self.singletons()
 
 
-def _minimal_blocks(comp: tuple[int, ...], increasing: frozenset[int]) -> list[RunWord]:
-    """Partition one support interval into the fewest directed runs.
+def _minimal_blocks(interval: int, increasing: int) -> list[RunWord]:
+    """Partition one support interval, a mask of consecutive letters, into
+    the fewest directed runs, where bit k of increasing marks the pair
+    {k, k+1} increasing.
 
     A block grows from the left while its inner pairs {k, k+1} keep one
     direction; a one-letter block is increasing.
     """
     blocks = []
-    j = 0
-    while j < len(comp):
-        rising = comp[j] in increasing
-        i = j + 1
-        while i < len(comp) and (comp[i - 1] in increasing) == rising:
-            i += 1
-        span = i - 1 - j
+    a, end = (interval & -interval).bit_length() - 1, interval.bit_length() - 1
+    while a <= end:
+        rising = increasing >> a & 1
+        b = a + 1
+        while b <= end and increasing >> (b - 1) & 1 == rising:
+            b += 1
+        span = b - 1 - a
         direction = "increasing" if rising or span == 0 else "decreasing"
-        blocks.append(RunWord(comp[j], span, direction))
-        j = i
+        blocks.append(RunWord(a, span, direction))
+        a = b
     return blocks
 
 
@@ -95,20 +96,24 @@ def run_decompose(v: Permutation) -> RunDecomposition:
     Reduced words of a boolean permutation are the linear extensions of a
     zigzag order on the support: each pair {k, k+1} of support letters keeps
     a fixed relative order across all words, and distant letters commute.
-    Each support interval is cut greedily into the fewest blocks of constant
-    direction (_minimal_blocks), so the pair across the boundary after a
-    block runs against the block: after an increasing block, the next block
-    must come first; after a decreasing one, it must come after. The word
-    places each chain of blocks joined by increasing blocks right to left,
-    and the chains left to right.
+    Each interval of v's support mask is cut greedily into the fewest blocks
+    of constant direction (_minimal_blocks, on v's increasing-pair mask), so
+    the pair across the boundary after a block runs against the block: after
+    an increasing block, the next block must come first; after a decreasing
+    one, it must come after. The word places each chain of blocks joined by
+    increasing blocks right to left, and the chains left to right.
     """
     if not is_boolean(v):
         raise ValueError("run_decompose requires a boolean permutation")
-    increasing = increasing_pairs(v)
+    supp = _support_mask(v.images)
+    increasing = _increasing_mask(v.images, supp)
     ordered: list[RunWord] = []
-    for comp in interval_components(support(v)):
+    while supp:
+        # adding its lowest bit carries through the lowest interval
+        interval = supp & ~(supp + (supp & -supp))
+        supp ^= interval
         chain: list[RunWord] = []
-        for block in _minimal_blocks(comp, increasing):
+        for block in _minimal_blocks(interval, increasing):
             chain.append(block)
             if block.direction == "decreasing":
                 ordered.extend(reversed(chain))

@@ -39,7 +39,6 @@ from .boolean_intersect import (
 from .bruhat import intersect_ideals, maximal_elements, principal_ideal
 from .permcore import (
     Permutation,
-    ReducedWord,
     all_permutations,
     boolean_permutations,
     enumerate_reduced_words,

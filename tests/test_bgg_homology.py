@@ -24,6 +24,7 @@ from boolbruhat.bgg_homology import (
     is_perfect,
     restricted_complex,
 )
+from boolbruhat.boolean_intersect import interval_components
 from boolbruhat.bruhat import bruhat_leq, down_covers, intersect_ideals
 from boolbruhat.permcore import (
     CapExceededError,
@@ -33,6 +34,7 @@ from boolbruhat.permcore import (
     boolean_permutations,
     descents,
     is_boolean,
+    support,
 )
 from boolbruhat.rs_afunction import YoungShape, a_function, longest_parabolic_element
 from boolbruhat.verify import check_thm7_2
@@ -523,6 +525,14 @@ def test_longest_parabolic_recognition():
     assert is_longest_parabolic_element(Permutation.identity(3))
     assert not is_longest_parabolic_element(Permutation((2, 4, 1, 3)))
     assert not is_longest_parabolic_element(Permutation((1, 2, 4, 3, 5)).inverse() * Permutation((1, 3, 2, 4, 5)))
+    # against blockwise order reversal on the intervals of the support
+    for n in range(1, 7):
+        for w in all_permutations(n):
+            images = list(range(1, n + 1))
+            for comp in interval_components(support(w)):
+                lo, hi = comp[0], comp[-1] + 1
+                images[lo - 1 : hi] = range(hi, lo - 1, -1)
+            assert is_longest_parabolic_element(w) == (w.images == tuple(images)), w
 
 
 def test_boolean_scan_matches_the_per_w_pass():
@@ -584,8 +594,8 @@ def test_boolean_masks_are_the_intersections_with_boolean_ideals():
         booleans = boolean_permutations(n)
         assert [signs.elements[k] for k in masks.boolean] == booleans
         for k, x in enumerate(signs.elements):
-            assert masks.right[k] == sum(1 << (i - 1) for i in descents(x, "right"))
-            assert masks.left[k] == sum(1 << (i - 1) for i in descents(x, "left"))
+            assert masks.right[k] == sum(1 << i for i in descents(x, "right"))
+            assert masks.left[k] == sum(1 << i for i in descents(x, "left"))
         first = {}
         for k, m in enumerate(masks.mask):
             first.setdefault(m, k)

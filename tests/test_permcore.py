@@ -81,7 +81,11 @@ def test_support_matches_canonical_word_letters(w):
 
 
 def test_reduced_word_validation():
-    ReducedWord((1, 2, 1), 3)
+    word = ReducedWord((1, 2, 1), 3)
+    assert word.permutation() == Permutation((3, 2, 1))
+    assert word.permutation() is word.permutation()
+    assert word == ReducedWord([1, 2, 1], 3)
+    assert repr(word) == "ReducedWord(letters=(1, 2, 1), degree=3)"
     with pytest.raises(NotReducedError):
         ReducedWord((1, 1), 3)
     with pytest.raises(NotReducedError):
@@ -121,6 +125,17 @@ def test_descents_both_sides():
     assert descents(w, "left") == frozenset({2})
     for w in all_permutations(5):
         assert descents(w, "left") == descents(w.inverse(), "right")
+    # the masks against the definitions, and each view against its mask
+    for n in range(1, 7):
+        for w in all_permutations(n):
+            x = w.images
+            right, left = permcore._descent_masks(x)
+            for k in range(n + 2):
+                assert (right >> k & 1) == (1 <= k < n and x[k - 1] > x[k]), (w, k)
+                assert (left >> k & 1) == (1 <= k < n and x.index(k + 1) < x.index(k)), (w, k)
+            assert descents(w, "right") == {k for k in range(n) if right >> k & 1}
+            assert descents(w, "left") == {k for k in range(n) if left >> k & 1}
+            assert support(w) == {k for k in range(n) if permcore._support_mask(x) >> k & 1}
 
 
 def test_pattern_containment():

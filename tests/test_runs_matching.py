@@ -7,8 +7,8 @@ from itertools import permutations
 import pytest
 
 import boolbruhat
-from boolbruhat import bruhat, permcore, runs_matching, verify
-from boolbruhat.boolean_intersect import increasing_pairs, interval_components
+from boolbruhat import boolean_intersect, bruhat, permcore, runs_matching, verify
+from boolbruhat.boolean_intersect import increasing_pairs, interval_components, obstructions
 from boolbruhat.bruhat import (
     BruhatIdeal,
     RunWord,
@@ -32,7 +32,6 @@ from boolbruhat.runs_matching import (
     MatchingCertificate,
     Pair,
     Singleton,
-    _minimal_blocks,
     build_matching,
     check_matching,
     matching_to_dot,
@@ -97,13 +96,21 @@ def test_one_letter_runs_are_increasing():
 def waits_for_order(v):
     """The block order as first written: a block waits for its
     letter-adjacent neighbour when the boundary pair puts the neighbour
-    first, and the next block is the smallest-start block not waiting."""
+    first, and the next block is the smallest-start block not waiting.
+    Blocks are cut from the support sets: each support interval greedily
+    into the longest blocks of one direction."""
     increasing = increasing_pairs(v)
-    blocks = [
-        b
-        for comp in interval_components(support(v))
-        for b in _minimal_blocks(comp, increasing)
-    ]
+    blocks = []
+    for comp in interval_components(support(v)):
+        j = 0
+        while j < len(comp):
+            rising = comp[j] in increasing
+            i = j + 1
+            while i < len(comp) and (comp[i - 1] in increasing) == rising:
+                i += 1
+            direction = "increasing" if rising or i == j + 1 else "decreasing"
+            blocks.append(RunWord(comp[j], i - 1 - j, direction))
+            j = i
     waits_for = {b: [] for b in blocks}
     for left, right in zip(blocks, blocks[1:]):
         top = left.start + left.span
@@ -484,20 +491,29 @@ def test_the_pair_path_reads_no_down_covers_and_no_support_sets(monkeypatch):
     def unread(*args):
         raise AssertionError("read on the pair path")
 
-    # every module that binds either name, so no import path escapes
-    reals = {"_down_images": bruhat._down_images, "support": permcore.support}
+    # every module that binds any of the names, so no import path escapes
+    reals = {
+        "_down_images": bruhat._down_images,
+        "support": permcore.support,
+        "descents": permcore.descents,
+        "increasing_pairs": boolean_intersect.increasing_pairs,
+    }
     modules = [getattr(boolbruhat, name) for name in dir(boolbruhat)]
     for module in (m for m in modules if type(m) is type(permcore)):
         for name, real in reals.items():
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, unread)
-    assert runs_matching.support is runs_matching._down_images is bruhat._down_images is unread
+    assert runs_matching._down_images is bruhat._down_images is unread
+    assert permcore.support is permcore.descents is unread
+    assert boolean_intersect.support is boolean_intersect.increasing_pairs is unread
     rng = random.Random(6)
     booleans = boolean_permutations(6)
     elems = all_permutations(6)
     for _ in range(80):
         v, w = rng.choice(booleans), rng.choice(elems)
         assert check_matching(build_matching(v, w)) is None, (v, w)
+        run_decompose(v)
+        obstructions(v, w)
 
 
 def test_the_matched_ideal_is_the_intersection_on_s5():
