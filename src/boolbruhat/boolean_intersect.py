@@ -20,6 +20,7 @@ from .permcore import (
     _capped,
     _increasing_mask,
     _letters,
+    _of_distinct_letters,
     _support_mask,
     is_boolean,
     support,
@@ -40,33 +41,26 @@ def orientation(w: Permutation, k: int) -> Orientation:
         raise ValueError(f"{{{k},{k + 1}}} not contained in the support of w")
     n = w.n
     img = w.images
-    inv = w.inverse().images
+    # w^-1(x) - 1 is img.index(x), the position of the value x
 
     prefix = set(img[:k])
     increasing = False
     if prefix < set(range(1, k + 2)):
         (x,) = set(range(1, k + 2)) - prefix
-        increasing = x < k + 1 and inv[x - 1] > k + 1
+        increasing = x < k + 1 and img.index(x) > k
 
     suffix = set(img[k + 1 :])
     decreasing = False
     if suffix < set(range(k + 1, n + 1)):
         (y,) = set(range(k + 1, n + 1)) - suffix
-        decreasing = y > k + 1 and inv[y - 1] < k + 1
+        decreasing = y > k + 1 and img.index(y) < k
 
     interlaced = any(img[i] > k + 1 for i in range(k)) and any(
         img[j] < k + 1 for j in range(k + 1, n)
     )
 
-    hits = [
-        o
-        for o, hit in [
-            (Orientation.INCREASING, increasing),
-            (Orientation.DECREASING, decreasing),
-            (Orientation.INTERLACED, interlaced),
-        ]
-        if hit
-    ]
+    # Orientation lists INCREASING, DECREASING, INTERLACED in this order
+    hits = [o for o, hit in zip(Orientation, (increasing, decreasing, interlaced)) if hit]
     if len(hits) != 1:
         raise AssertionError(f"orientation trichotomy violated for w={w}, k={k}: {hits}")
     return hits[0]
@@ -241,7 +235,7 @@ def _subword_element(n: int, kept, increasing) -> Permutation:
             word.insert(0, k)
         else:
             word.append(k)
-    return Permutation.from_word(word, n)
+    return _of_distinct_letters(word, n)
 
 
 def _pair_chains(pairs) -> list[tuple[int, ...]]:
@@ -267,7 +261,8 @@ def intersection_maximal_closed_form(
     supp = support(v)
     if all(r.span <= 1 for r in runs):
         pairs = [r.letter_set for r in runs if r.span == 1]
-        base = (supp & support(w)) - frozenset().union(*pairs)
+        # the one-letter runs are the letters of supp(v) outside supp(w)
+        base = supp.difference(*(r.letter_set for r in runs))
         supports = {base | s for s in _selfish_product(_pair_chains(pairs))}
     else:
         supports = _maximal_admissible(supp, [r.letter_set for r in runs])

@@ -111,19 +111,6 @@ class Permutation:
             images[v - 1] = i
         return Permutation(images)
 
-    def right_simple(self, i: int) -> "Permutation":
-        """Fast w * sigma_i (swap positions i, i+1)."""
-        images = list(self.images)
-        images[i - 1], images[i] = images[i], images[i - 1]
-        return Permutation(images)
-
-    def left_simple(self, i: int) -> "Permutation":
-        """Fast sigma_i * w (swap values i, i+1)."""
-        images = list(self.images)
-        a, b = images.index(i), images.index(i + 1)
-        images[a], images[b] = images[b], images[a]
-        return Permutation(images)
-
     def is_identity(self) -> bool:
         return self.length == 0
 
@@ -229,23 +216,34 @@ def descents(w: Permutation, side: Literal["left", "right"] = "right") -> frozen
 
 def _word_iter(w: Permutation) -> Iterator[tuple[int, ...]]:
     """The reduced words of w in lexicographic order, depth first. The stack
-    holds, at depth d, w with letters[:d] stripped and the mask of its left
-    descents not yet tried; it is not the call stack, so no length meets the
-    recursion limit."""
+    holds, at depth d, the one-line tuple of w with letters[:d] stripped
+    (s_a u swaps the values a and a+1 of u) and the mask of its left descents
+    not yet tried; it is not the call stack, so no length meets the recursion
+    limit. The identity is the only element with no left descent, so a word
+    ends where the stripped element's mask is 0."""
     letters: list[int] = []
-    stack = [(w, _descent_masks(w.images)[1])]
+    stack = [(w.images, _descent_masks(w.images)[1])]
+    if not stack[0][1]:  # w is the identity
+        yield ()
     while stack:
         u, todo = stack.pop()
-        if todo:
-            low = todo & -todo
-            stack.append((u, todo ^ low))
-            letters.append(low.bit_length() - 1)
-            x = u.left_simple(letters[-1])
-            stack.append((x, _descent_masks(x.images)[1]))
+        if not todo:
+            del letters[-1:]
             continue
-        if u.is_identity():
+        low = todo & -todo
+        stack.append((u, todo ^ low))
+        a = low.bit_length() - 1
+        x = list(u)
+        i, j = x.index(a), x.index(a + 1)
+        x[i], x[j] = a + 1, a
+        x = tuple(x)
+        left = _descent_masks(x)[1]
+        letters.append(a)
+        if left:
+            stack.append((x, left))
+        else:
             yield tuple(letters)
-        del letters[-1:]
+            del letters[-1]
 
 
 def enumerate_reduced_words(w: Permutation) -> frozenset[ReducedWord]:
@@ -397,12 +395,16 @@ def boolean_permutations(n: int) -> list[Permutation]:
             if i - 1 in word:
                 grown.append((i,) + word)
         words = grown
-    out = []
-    for word in words:
-        # a word of distinct letters is reduced, so its length is its size
-        images = list(range(1, n + 1))
-        for i in word:
-            images[i - 1], images[i] = images[i], images[i - 1]
-        out.append(Permutation._of_valid(tuple(images), len(word)))
+    out = [_of_distinct_letters(word, n) for word in words]
     out.sort(key=lambda w: (w.length, w.images))
     return out
+
+
+def _of_distinct_letters(word, n: int) -> Permutation:
+    """The element of S_n with the word word of distinct letters, evaluated
+    right to left like Permutation.from_word. Such a word is reduced, so the
+    length is its number of letters and nothing is checked again."""
+    images = list(range(1, n + 1))
+    for i in word:
+        images[i - 1], images[i] = images[i], images[i - 1]
+    return Permutation._of_valid(tuple(images), len(word))

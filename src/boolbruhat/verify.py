@@ -173,34 +173,30 @@ def check_cor3_6(n: int, sample: int | None = None, seed: int = 0):
         )
 
 
-def orientation_oracle(w: Permutation, k: int) -> Orientation:
-    """Orientation of {k, k+1} read from every reduced word of w."""
-    inc = dec = True
-    for rw in enumerate_reduced_words(w):
-        pos_k = [i for i, l in enumerate(rw.letters) if l == k]
-        pos_k1 = [i for i, l in enumerate(rw.letters) if l == k + 1]
-        if not pos_k or not pos_k1:
-            raise ValueError(f"{{{k},{k + 1}}} not in the support of w")
-        if max(pos_k) > min(pos_k1):
-            inc = False
-        if max(pos_k1) > min(pos_k):
-            dec = False
-    if inc:
-        return Orientation.INCREASING
-    if dec:
-        return Orientation.DECREASING
-    return Orientation.INTERLACED
+def orientation_oracle(w: Permutation) -> dict[int, Orientation]:
+    """The orientation of each pair {k, k+1} of letters of w, read from the
+    first and last positions of k and k+1 in every reduced word of w, in
+    one pass over the words."""
+    words = enumerate_reduced_words(w)
+    letters = set(next(iter(words)).letters)
+    pairs = [k for k in sorted(letters) if k + 1 in letters]
+    inc, dec = set(pairs), set(pairs)
+    for rw in words:
+        last = {a: i for i, a in enumerate(rw.letters)}
+        first = {a: i for i, a in reversed(list(enumerate(rw.letters)))}
+        inc -= {k for k in pairs if last[k] > first[k + 1]}
+        dec -= {k for k in pairs if last[k + 1] > first[k]}
+    return {k: Orientation.INCREASING if k in inc else Orientation.DECREASING if k in dec
+            else Orientation.INTERLACED for k in pairs}
 
 
 @sweep
 def check_thm3_10(n: int):
-    """One-line-notation orientation equals the reduced-word oracle."""
+    """One-line-notation orientation equals the reduced-word oracle. A case
+    is a pair {k, k+1} of letters of a w of S_n."""
     for w in all_permutations(n):
-        supp = support(w)
-        for k in sorted(supp):
-            if k + 1 not in supp:
-                continue
-            fast, slow = orientation(w, k), orientation_oracle(w, k)
+        for k, slow in orientation_oracle(w).items():
+            fast = orientation(w, k)
             yield fast != slow and (
                 f"w={format_permutation(w)} k={k}: one-line {fast.value}, "
                 f"words {slow.value}"
@@ -280,20 +276,16 @@ def check_prop5_8(n: int):
             yield report and f"v={format_permutation(v)} w={format_permutation(w)}: {report}"
 
 
-def subword_closure(letters: tuple[int, ...], n: int) -> frozenset[Permutation]:
-    """All permutations with some reduced word occurring as a subword.
+def subword_closure(letters: tuple[int, ...], n: int) -> frozenset[tuple[int, ...]]:
+    """The one-line tuples of all permutations with some reduced word
+    occurring as a subword of letters.
 
-    Left-to-right closure: extend each collected element by the next letter
-    whenever that extension is length-increasing.
+    Left-to-right closure: extend each collected element u by the next
+    letter a whenever that raises the length, that is when u(a) < u(a+1).
     """
-    out = {Permutation.identity(n)}
-    for l in letters:
-        grown = set()
-        for u in out:
-            nxt = u.right_simple(l)
-            if nxt.length > u.length:
-                grown.add(nxt)
-        out |= grown
+    out = {tuple(range(1, n + 1))}
+    for a in letters:
+        out |= {u[:a - 1] + (u[a], u[a - 1]) + u[a + 1:] for u in out if u[a - 1] < u[a]}
     return frozenset(out)
 
 
@@ -302,7 +294,7 @@ def check_lem5_6(n: int):
     """slim(s, i) is the unique Bruhat maximum of the deleted-word closure,
     and that closure is its full principal ideal, for every reduced word of
     every w of length 1 to 8 in S_n."""
-    ideals: dict[Permutation, frozenset[Permutation]] = {}
+    ideals: dict[Permutation, frozenset[tuple[int, ...]]] = {}
     for w in all_permutations(n):
         if not 1 <= w.length <= 8:
             continue
@@ -312,7 +304,7 @@ def check_lem5_6(n: int):
                 closure = subword_closure(hat, n)
                 top = slim(rw, i)
                 if top not in ideals:
-                    ideals[top] = principal_ideal(top).elements
+                    ideals[top] = frozenset(x.images for x in principal_ideal(top).elements)
                 yield closure != ideals[top] and (
                     f"s={format_reduced_word(rw)} i={i}: closure is not "
                     f"B({format_permutation(top)})"

@@ -174,7 +174,7 @@ def test_criterion_11_slimming():
 
     top = slim(ReducedWord(s, 5), 3)
     assert top == Permutation.from_word((3, 2, 3), 5)
-    closure = subword_closure(s[:2] + s[3:], 5)
+    closure = {Permutation(x) for x in subword_closure(s[:2] + s[3:], 5)}
     assert {x for x in closure if is_boolean(x)} == {
         Permutation.identity(5),
         Permutation.from_word((2,), 5),

@@ -11,6 +11,7 @@ from boolbruhat.permcore import (
     ReducedWord,
     CapExceededError,
     _capped_boolean_count,
+    _word_iter,
     all_permutations,
     boolean_permutations,
     canonical_reduced_word,
@@ -26,7 +27,7 @@ from boolbruhat.permcore import (
     pattern_contains,
     support,
 )
-from boolbruhat.verify import check_thm2_4
+from boolbruhat.verify import check_thm2_4, subword_closure
 
 perms = st.integers(2, 6).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(Permutation)
@@ -117,6 +118,50 @@ def test_enumeration_guard_raises(monkeypatch):
     monkeypatch.setattr(permcore, "ENUMERATION_CAP", 15)
     with pytest.raises(CapExceededError, match="reduced words"):
         enumerate_reduced_words(w0)
+
+
+def _words_by_breadth(n):
+    """Oracle: the reduced words of every element of S_n, grown a letter at
+    a time; a word is kept when its evaluation's length is its size."""
+    words = {Permutation.identity(n): {()}}
+    level = [()]
+    while level:
+        level = [
+            word + (a,)
+            for word in level
+            for a in range(1, n)
+            if Permutation.from_word(word + (a,), n).length == len(word) + 1
+        ]
+        for word in level:
+            words.setdefault(Permutation.from_word(word, n), set()).add(word)
+    return words
+
+
+def test_reduced_words_match_a_breadth_first_oracle():
+    for n in range(1, 6):
+        oracle = _words_by_breadth(n)
+        assert len(oracle) == len(all_permutations(n))
+        for w in all_permutations(n):
+            assert {rw.letters for rw in enumerate_reduced_words(w)} == oracle[w], w
+            walk = list(_word_iter(w))
+            assert all(a < b for a, b in zip(walk, walk[1:])), w
+
+
+def test_word_walks_build_no_permutation_per_letter(monkeypatch):
+    w0 = Permutation((5, 4, 3, 2, 1))
+    built = []
+    init = Permutation.__init__
+
+    def counted(self, images):
+        built.append(images)
+        init(self, images)
+
+    monkeypatch.setattr(Permutation, "__init__", counted)
+    walk = list(_word_iter(w0))
+    assert len(walk) == 768 and built == []
+    assert len(enumerate_reduced_words(w0)) == 768 and len(built) == 768
+    built.clear()
+    assert len(subword_closure(walk[0] + walk[-1], 5)) == 120 and built == []
 
 
 def test_descents_both_sides():

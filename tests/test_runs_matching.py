@@ -171,7 +171,7 @@ def test_slim_worked_example():
     s = ReducedWord((3, 2, 1, 2, 3, 2), 5)
     u = slim(s, 3)
     assert u == Permutation.from_word((3, 2, 3), 5)
-    closure = subword_closure(s.letters[:2] + s.letters[3:], 5)
+    closure = {Permutation(x) for x in subword_closure(s.letters[:2] + s.letters[3:], 5)}
     booleans = {x for x in closure if is_boolean(x)}
     assert booleans == {
         Permutation.identity(5),
