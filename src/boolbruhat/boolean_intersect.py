@@ -20,7 +20,6 @@ from .permcore import (
     _capped,
     _increasing_mask,
     _letters,
-    _of_distinct_letters,
     _support_mask,
     is_boolean,
     support,
@@ -148,14 +147,13 @@ def maximal_selfish(universe) -> frozenset[frozenset[int]]:
     return frozenset(_selfish_product(interval_components(set(universe))))
 
 
-def _run_candidates(v: Permutation) -> list[RunWord]:
-    """Directed run subwords of the reduced words of v (v boolean).
+def _run_candidates(supp: int, increasing: int) -> list[RunWord]:
+    """Directed run subwords of the reduced words of a boolean v with
+    support mask supp and increasing-pair mask increasing (_increasing_mask).
 
     [i..i+j] is an increasing run when the pairs i..i+j-1 are all
     increasing, and a decreasing run when none of them is.
     """
-    supp = _support_mask(v.images)
-    increasing = _increasing_mask(v.images, supp)
     out = []
     for i in range(1, supp.bit_length()):
         if not supp >> i & 1:
@@ -178,9 +176,15 @@ def obstructions(v: Permutation, w: Permutation) -> frozenset[RunWord]:
     """
     if not is_boolean(v):
         raise ValueError("obstructions requires boolean v")
+    supp = _support_mask(v.images)
+    return _obstructions(v, w, supp, _increasing_mask(v.images, supp))
+
+
+def _obstructions(v: Permutation, w: Permutation, supp: int, increasing: int):
+    """obstructions(v, w), given v's masks _support_mask and _increasing_mask."""
     if v.n != w.n:
         raise DegreeMismatchError(f"degrees {v.n} and {w.n} differ")
-    candidates = _run_candidates(v)
+    candidates = _run_candidates(supp, increasing)
     leq = _run_leq(w)
     below = {r.letters: leq(r) for r in candidates}
     return frozenset(
@@ -235,7 +239,7 @@ def _subword_element(n: int, kept, increasing) -> Permutation:
             word.insert(0, k)
         else:
             word.append(k)
-    return _of_distinct_letters(word, n)
+    return Permutation.from_word(word, n)
 
 
 def _pair_chains(pairs) -> list[tuple[int, ...]]:
@@ -257,18 +261,18 @@ def intersection_maximal_closed_form(
     """
     if not is_boolean(v):
         raise ValueError("closed form requires boolean v")
-    runs = obstructions(v, w)
-    supp = support(v)
+    supp = _support_mask(v.images)
+    increasing = _increasing_mask(v.images, supp)
+    runs = _obstructions(v, w, supp, increasing)
     if all(r.span <= 1 for r in runs):
         pairs = [r.letter_set for r in runs if r.span == 1]
         # the one-letter runs are the letters of supp(v) outside supp(w)
-        base = supp.difference(*(r.letter_set for r in runs))
+        base = _letters(supp).difference(*(r.letter_set for r in runs))
         supports = {base | s for s in _selfish_product(_pair_chains(pairs))}
     else:
-        supports = _maximal_admissible(supp, [r.letter_set for r in runs])
+        supports = _maximal_admissible(_letters(supp), [r.letter_set for r in runs])
     # every support is a subset of supp(v)
-    increasing = increasing_pairs(v)
-    out = [_subword_element(v.n, t, increasing) for t in supports]
+    out = [_subword_element(v.n, t, _letters(increasing)) for t in supports]
     out.sort(key=lambda x: x.images)
     return out
 

@@ -79,23 +79,23 @@ class Permutation:
     @classmethod
     def simple(cls, i: int, n: int) -> "Permutation":
         """The adjacent transposition sigma_i = (i, i+1) in S_n."""
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"generator index {i} out of range for S_{n}")
-        images = list(range(1, n + 1))
-        images[i - 1], images[i] = images[i], images[i - 1]
-        return cls(images)
+        return cls.from_word((i,), n)
 
     @classmethod
     def from_word(cls, letters, n: int) -> "Permutation":
-        """Evaluate a word of generator indices (not necessarily reduced)."""
+        """Evaluate a word of generator indices (not necessarily reduced) by
+        successive right multiplications: w sigma_i swaps w(i) and w(i+1) and
+        is one longer than w if w(i) < w(i+1), else one shorter."""
         images = list(range(1, n + 1))
-        # right-to-left: apply sigma_{letters[-1]} first, i.e. build by
-        # successive right multiplications of the prefix.
+        length = 0
         for i in letters:
             if not 1 <= i <= n - 1:
                 raise ValueError(f"generator index {i} out of range for S_{n}")
+            length += 1 if images[i - 1] < images[i] else -1
             images[i - 1], images[i] = images[i], images[i - 1]
-        return cls(images)
+        if n < 1:
+            raise ValueError("not a permutation of [1,0]: ()")  # __init__'s text for ()
+        return cls._of_valid(tuple(images), length)
 
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
@@ -164,12 +164,14 @@ def _descent_masks(images: tuple[int, ...]) -> tuple[int, int]:
     """(right, left) descents of the permutation x with one-line notation
     images: k is a right descent iff x(k) > x(k+1), and a left descent, a
     right descent of x^-1, iff k+1 stands before k."""
-    right = left = seen = prev = 0
+    right = left = prev = 0
+    seen = bytearray(len(images) + 2)
     for k, v in enumerate(images):
         if v < prev:
             right |= 1 << k
-        left |= seen >> 1 & 1 << v
-        seen |= 1 << v
+        if seen[v + 1]:
+            left |= 1 << v
+        seen[v] = 1
         prev = v
     return right, left
 
@@ -395,16 +397,7 @@ def boolean_permutations(n: int) -> list[Permutation]:
             if i - 1 in word:
                 grown.append((i,) + word)
         words = grown
-    out = [_of_distinct_letters(word, n) for word in words]
+    out = [Permutation.from_word(word, n) for word in words]
     out.sort(key=lambda w: (w.length, w.images))
     return out
 
-
-def _of_distinct_letters(word, n: int) -> Permutation:
-    """The element of S_n with the word word of distinct letters, evaluated
-    right to left like Permutation.from_word. Such a word is reduced, so the
-    length is its number of letters and nothing is checked again."""
-    images = list(range(1, n + 1))
-    for i in word:
-        images[i - 1], images[i] = images[i], images[i - 1]
-    return Permutation._of_valid(tuple(images), len(word))

@@ -135,11 +135,13 @@ def slim(s: ReducedWord, i: int) -> Permutation:
     if not 1 <= i <= len(s):
         raise ValueError(f"position {i} out of range for word of length {len(s)}")
     images = list(range(1, s.degree + 1))
+    length = 0
     for pos, letter in enumerate(s.letters, start=1):
         # right multiplication by s_a raises the length iff u(a) < u(a+1)
         if pos != i and images[letter - 1] < images[letter]:
             images[letter - 1], images[letter] = images[letter], images[letter - 1]
-    return Permutation(images)
+            length += 1
+    return Permutation._of_valid(tuple(images), length)
 
 
 def optimal_partner(v: Permutation) -> Permutation:

@@ -17,7 +17,8 @@ from boolbruhat.boolean_intersect import (
     selfish_count,
     subword_element,
 )
-from boolbruhat import boolean_intersect, bruhat, verify
+import boolbruhat
+from boolbruhat import boolean_intersect, bruhat, permcore, verify
 from boolbruhat.bruhat import bruhat_leq, intersect_ideals, maximal_elements, run_word_leq
 from boolbruhat.permcore import (
     CapExceededError,
@@ -153,10 +154,16 @@ def test_obstructions_reject_mixed_degrees():
             intersection_maximal_closed_form(v, w)
 
 
+def candidates_of(v):
+    """The run candidates of a boolean v, read off its masks."""
+    supp = permcore._support_mask(v.images)
+    return _run_candidates(supp, permcore._increasing_mask(v.images, supp))
+
+
 def brute_minimal_runs(v, w):
     """Oracle: the candidates not below w whose letter sets are minimal
     among those of all such candidates, each compared by bruhat_leq."""
-    bad = [r for r in _run_candidates(v) if not bruhat_leq(r.permutation(v.n), w)]
+    bad = [r for r in candidates_of(v) if not bruhat_leq(r.permutation(v.n), w)]
     return {r for r in bad if not any(s.letter_set < r.letter_set for s in bad)}
 
 
@@ -334,11 +341,38 @@ def test_run_test_agrees_with_run_word_leq():
     for n in range(2, 7):
         everything = all_permutations(n)
         for v in boolean_permutations(n):
-            candidates = _run_candidates(v)
+            candidates = candidates_of(v)
             for w in everything if n < 6 else rng.sample(everything, 40):
                 leq = _run_leq(w)
                 for r in candidates:
                     assert leq(r) == run_word_leq(r, w), (v, w, r)
+
+
+def test_closed_form_reads_the_support_mask_at_most_twice(monkeypatch):
+    """is_boolean reads it once, and the closed form once more for the
+    support and increasing-pair masks that obstructions and the maxima
+    share."""
+    calls = []
+    real = permcore._support_mask
+
+    def counted(images):
+        calls.append(images)
+        return real(images)
+
+    # every module that binds it, so no import path escapes
+    modules = [getattr(boolbruhat, name) for name in dir(boolbruhat)]
+    for module in (m for m in modules if type(m) is type(permcore)):
+        if getattr(module, "_support_mask", None) is real:
+            monkeypatch.setattr(module, "_support_mask", counted)
+    assert boolean_intersect._support_mask is permcore._support_mask is counted
+    rng = random.Random(39)
+    booleans = boolean_permutations(7)
+    everything = all_permutations(7)
+    for _ in range(200):
+        v, w = rng.choice(booleans), rng.choice(everything)
+        calls.clear()
+        intersection_maximal_closed_form(v, w)
+        assert 1 <= len(calls) <= 2, (v, w, len(calls))
 
 
 def test_closed_form_does_not_read_the_ideal_walk_test(monkeypatch):

@@ -280,6 +280,14 @@ def test_rw_degree_above_the_cap_is_refused_first(argv, degree):
     )
 
 
+def test_rw_degree_at_the_cap_is_served():
+    """A word of S_{10^6} is evaluated in time linear in the degree: the
+    request under the cap finishes within run_cli's timeout."""
+    done = run_cli("boolean", "--rw", "1", "--rw-degree", "1000000")
+    assert done.returncode == 0, done.stderr
+    assert "\nsupport: [1]\n" in done.stdout
+
+
 def test_exit_codes_do_not_depend_on_assert():
     for argv, code in (
         (["verify", "thm7.2", "--n", "4"], 0),

@@ -64,6 +64,28 @@ def test_word_evaluation_is_right_to_left():
     assert direct == composed
 
 
+def test_word_length_is_counted_per_swap():
+    """from_word adds +1 or -1 per letter; on every word of up to 6 letters
+    over S_5, reduced or not, that agrees with counting inversions."""
+    for size in range(7):
+        for word in itertools.product(range(1, 5), repeat=size):
+            w = Permutation.from_word(word, 5)
+            assert w.length == Permutation(w.images).length, word
+
+
+def test_word_errors_keep_their_text():
+    with pytest.raises(ValueError, match=r"^generator index 5 out of range for S_5$"):
+        Permutation.from_word((1, 5), 5)
+    with pytest.raises(ValueError, match=r"^generator index 0 out of range for S_3$"):
+        Permutation.simple(0, 3)
+    # a bad letter is reported before the degree
+    with pytest.raises(ValueError, match=r"^generator index 1 out of range for S_0$"):
+        Permutation.from_word((1,), 0)
+    for n in (0, -2):
+        with pytest.raises(ValueError, match=r"^not a permutation of \[1,0\]: \(\)$"):
+            Permutation.from_word((), n)
+
+
 def test_multiplication_requires_same_degree():
     with pytest.raises(DegreeMismatchError):
         Permutation((2, 1)) * Permutation((1, 2, 3))
@@ -151,12 +173,19 @@ def test_word_walks_build_no_permutation_per_letter(monkeypatch):
     w0 = Permutation((5, 4, 3, 2, 1))
     built = []
     init = Permutation.__init__
+    of_valid = Permutation._of_valid
 
     def counted(self, images):
         built.append(images)
         init(self, images)
 
+    def counted_valid(images, length):
+        built.append(images)
+        return of_valid(images, length)
+
+    # both ways of building one: __init__ and the unchecked _of_valid
     monkeypatch.setattr(Permutation, "__init__", counted)
+    monkeypatch.setattr(Permutation, "_of_valid", counted_valid)
     walk = list(_word_iter(w0))
     assert len(walk) == 768 and built == []
     assert len(enumerate_reduced_words(w0)) == 768 and len(built) == 768
